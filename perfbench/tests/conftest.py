@@ -1,0 +1,7 @@
+import os
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+                   "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
