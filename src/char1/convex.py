@@ -30,8 +30,20 @@ def pt(x, y) -> Point:
     return (Fraction(x), Fraction(y))
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _holds_origin(iv) -> bool:
+    """Does the body with the canonical integer vertex list iv contain (0, 0)?"""
+    if len(iv) == 1:
+        return iv[0] == (0, 0)
+    if len(iv) == 2:
+        (ax, ay), (bx, by) = iv
+        return ax * by == ay * bx and min(ax, bx) <= 0 <= max(ax, bx) \
+            and min(ay, by) <= 0 <= max(ay, by)
+    px, py = iv[-1]
+    for qx, qy in iv:  # the origin lies left of or on every edge (p, q)
+        if px * qy < py * qx:
+            return False
+        px, py = qx, qy
+    return True
 
 
 def _int_hull(ipts) -> list:
@@ -117,35 +129,12 @@ class Polygon:
         return min(len(self.vertices) - 1, 2)
 
     def contains(self, p: Point) -> bool:
-        p = (Fraction(p[0]), Fraction(p[1]))
-        if self.dim == 0:
-            return p == self.vertices[0]
-        if self.dim == 1:
-            a, b = self.vertices
-            if _cross(a, b, p) != 0:
-                return False
-            return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and \
-                min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-        n = len(self.vertices)
-        return all(_cross(self.vertices[i], self.vertices[(i + 1) % n], p) >= 0
-                   for i in range(n))
+        x, y, m = _int_pair(p)
+        return _holds_origin([(vx * m - x * self._den, vy * m - y * self._den)
+                              for vx, vy in self._iverts])
 
     def contains_origin(self) -> bool:
-        iverts = self._iverts
-        if len(iverts) == 1:
-            return iverts[0] == (0, 0)
-        if len(iverts) == 2:
-            (ax, ay), (bx, by) = iverts
-            if ax * by - ay * bx != 0:
-                return False
-            return min(ax, bx) <= 0 <= max(ax, bx) and min(ay, by) <= 0 <= max(ay, by)
-        n = len(iverts)
-        for i in range(n):
-            px, py = iverts[i]
-            qx, qy = iverts[(i + 1) % n]
-            if (qx - px) * (-py) - (qy - py) * (-px) < 0:
-                return False
-        return True
+        return _holds_origin(self._iverts)
 
     def dilate(self, q) -> "Polygon":
         """Scale by the rational q >= 0 about the origin."""
@@ -165,8 +154,12 @@ class Polygon:
 
     def support(self, psi) -> Fraction:
         """max over the body of the linear form psi = (p, q)."""
-        p, q = Fraction(psi[0]), Fraction(psi[1])
-        return max(p * x + q * y for x, y in self.vertices)
+        p, q, m = _int_pair(psi)
+        return Fraction(self._isupport(p, q), m * self._den)
+
+    def _isupport(self, p: int, q: int) -> int:
+        """Support of the integer surrogate at the integer form (p, q)."""
+        return max(p * x + q * y for x, y in self._iverts)
 
     def to_json(self) -> dict:
         return {"vertices": [[fmt_rat(x), fmt_rat(y)] for x, y in self.vertices]}
@@ -180,6 +173,12 @@ class Polygon:
         if not pts:
             raise SchemaError("polygon needs at least one vertex")
         return cls(tuple(pts))
+
+
+def _int_pair(v) -> tuple[int, int, int]:
+    """(x, y, m) with v = (x / m, y / m), all integers and m > 0."""
+    a, b = Fraction(v[0]), Fraction(v[1])
+    return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
 
 
 def _rescale(a: Polygon, b: Polygon):
@@ -255,61 +254,63 @@ class Direction:
 # -- gauges, polars, norms ----------------------------------------------------
 
 
-def facets(e: Polygon) -> list[tuple[Point, Fraction]]:
-    """Outward facet normals (n, c) with E = {x : <n, x> <= c} for each facet."""
+def normal_fan_rays(p: Polygon) -> list[tuple[int, int]]:
+    """Outward edge normals of the integer surrogate, positive multiples of
+    the true ones; candidate directions where support-function ratios
+    attain their extrema (a ratio of linears over a pointed cone is a
+    mediant, so it is maximized on a ray)."""
+    iv = p._iverts
+    if len(iv) == 1:
+        return []
+    if len(iv) == 2:
+        (ax, ay), (bx, by) = iv
+        return [(by - ay, ax - bx), (ay - by, bx - ax)]
+    return [(qy - py, px - qx) for (px, py), (qx, qy) in zip(iv, iv[1:] + iv[:1])]
+
+
+def facets(e: Polygon) -> list[tuple[tuple[int, int], int]]:
+    """Outward facet normals (n, c) of the integer surrogate: with d the
+    common denominator of E's vertices, E = {x : <n, x> <= c / d}."""
     if e.dim != 2:
         raise PreconditionError("unit body must be full-dimensional")
-    out = []
-    n = len(e.vertices)
-    for i in range(n):
-        px, py = e.vertices[i]
-        qx, qy = e.vertices[(i + 1) % n]
-        normal = (qy - py, -(qx - px))
-        out.append((normal, normal[0] * px + normal[1] * py))
-    return out
+    return [(n, n[0] * x + n[1] * y) for n, (x, y) in zip(normal_fan_rays(e), e._iverts)]
 
 
-def _unit_facets(e: Polygon) -> list[tuple[Point, Fraction]]:
-    fs = facets(e)
-    if any(c <= 0 for _, c in fs):
-        raise PreconditionError("unit body must contain the origin strictly inside")
-    return fs
+def _unit(e: Polygon) -> tuple[list, Polygon]:
+    """The facets and the polar of a unit body, checked once and cached on
+    the body itself; a body that fails the check caches nothing."""
+    cached = e.__dict__.get("_unit")
+    if cached is None:
+        fs = facets(e)
+        if any(c <= 0 for _, c in fs):
+            raise PreconditionError("unit body must contain the origin strictly inside")
+        # facet <n, x> <= c / d becomes the polar vertex n * d / c
+        pole = Polygon(tuple((Fraction(nx * e._den, c), Fraction(ny * e._den, c))
+                             for (nx, ny), c in fs))
+        cached = (fs, pole)
+        object.__setattr__(e, "_unit", cached)
+    return cached
 
 
 def gauge(v: Point, e: Polygon) -> Fraction:
     """Least t >= 0 with v in t*E, from the facet inequalities of E."""
-    v = (Fraction(v[0]), Fraction(v[1]))
-    best = Fraction(0)
-    for (nx, ny), c in _unit_facets(e):
-        best = max(best, (nx * v[0] + ny * v[1]) / c)
-    return best
+    return r_norm_body(Polygon((v,)), e)
+
 
 def r_norm_body(a: Polygon, e: Polygon) -> Fraction:
-    """Spectral norm of a body: the largest vertex gauge; zero only for {0}."""
-    fs = _unit_facets(e)
-    best = Fraction(0)
-    for x, y in a.vertices:
-        for (nx, ny), c in fs:
-            best = max(best, (nx * x + ny * y) / c)
-    return best
+    """Spectral norm of a body: the largest vertex gauge; zero only for {0}.
+    The gauge of v is the largest <n, v> / (c / d) over the facets of E."""
+    best, c_best = 0, 1
+    for n, c in _unit(e)[0]:
+        top = a._isupport(*n)
+        if top * c_best > best * c:
+            best, c_best = top, c
+    return Fraction(best * e._den, c_best * a._den)
 
 
 def polar(e: Polygon) -> Polygon:
     """The polar body: facet <n, x> <= c becomes vertex n/c."""
-    return Polygon(tuple((nx / c, ny / c) for (nx, ny), c in _unit_facets(e)))
-
-
-def normal_fan_rays(p: Polygon) -> list[Point]:
-    """Outward edge normals; candidate directions where support-function
-    ratios attain their extrema (a ratio of linears over a pointed cone is
-    a mediant, so it is maximized on a ray)."""
-    if p.dim == 0:
-        return []
-    if p.dim == 1:
-        (ax, ay), (bx, by) = p.vertices
-        n = (by - ay, -(bx - ax))
-        return [n, (-n[0], -n[1])]
-    return [n for n, _ in facets(p)]
+    return _unit(e)[1]
 
 
 def r_norm_euclidean(a: Polygon) -> float:
@@ -337,12 +338,14 @@ def char_eval(psi, x, e: Polygon) -> Fraction:
     Fraction pairs evaluate to (l_A - l_B) / l_E.  The denominator is
     positive because the origin is strictly interior to E.
     """
-    psi = psi.as_pair() if isinstance(psi, Direction) else psi
-    _unit_facets(e)
-    denom = e.support(psi)
+    _unit(e)
+    p, q, _ = _int_pair(psi.as_pair() if isinstance(psi, Direction) else psi)
+    denom = e._isupport(p, q)
     if isinstance(x, FracBody):
-        return (x.pos.support(psi) - x.neg.support(psi)) / denom
-    return x.support(psi) / denom
+        a, b = x.pos, x.neg
+        return Fraction((a._isupport(p, q) * b._den - b._isupport(p, q) * a._den) * e._den,
+                        a._den * b._den * denom)
+    return Fraction(x._isupport(p, q) * e._den, x._den * denom)
 
 
 # -- the fraction semifield ----------------------------------------------------
@@ -403,20 +406,30 @@ def frac_scale(q, x: FracBody) -> FracBody:
     return FracBody(x.pos.dilate(q), x.neg.dilate(q))
 
 
-def r_norm_frac(x: FracBody, e: Polygon) -> Fraction:
-    """Least t >= 0 with -tE <= A - B <= tE, i.e. A <= B + tE and B <= A + tE.
+def norm_ray(x: FracBody, e: Polygon) -> tuple[tuple[int, int], Fraction]:
+    """The first candidate ray where |l_A - l_B| / l_E peaks, and the peak.
 
-    The ratio |l_A - l_B| / l_E is piecewise a ratio of linear forms over the
-    common refinement of the three normal fans, so its maximum sits on one of
-    the candidate rays below.
+    The ratio is piecewise a ratio of linear forms over the common
+    refinement of the three normal fans, so its maximum sits on one of the
+    candidate rays: the polar vertices of E (E's facet normals), then the
+    edge normals of A, then those of B, each as a primitive integer vector
+    and taken once, in that order.
     """
-    _unit_facets(e)
-    candidates = normal_fan_rays(e) + normal_fan_rays(x.pos) + normal_fan_rays(x.neg)
-    best = Fraction(0)
-    for psi in candidates:
-        diff = x.pos.support(psi) - x.neg.support(psi)
-        best = max(best, abs(diff) / e.support(psi))
-    return best
+    a, b = x.pos, x.neg
+    rays = [*_unit(e)[1]._iverts, *normal_fan_rays(a), *normal_fan_rays(b)]
+    rays = dict.fromkeys((p // g, q // g) for p, q in rays for g in [math.gcd(p, q)])
+    best_ray, top, s_top = next(iter(rays)), 0, 1
+    for p, q in rays:
+        diff = abs(a._isupport(p, q) * b._den - b._isupport(p, q) * a._den)
+        s = e._isupport(p, q)
+        if diff * s_top > top * s:
+            best_ray, top, s_top = (p, q), diff, s
+    return best_ray, Fraction(top * e._den, s_top * a._den * b._den)
+
+
+def r_norm_frac(x: FracBody, e: Polygon) -> Fraction:
+    """Least t >= 0 with -tE <= A - B <= tE, i.e. A <= B + tE and B <= A + tE."""
+    return norm_ray(x, e)[1]
 
 
 # -- the square-symmetry example ------------------------------------------------
@@ -445,7 +458,7 @@ class PolygonFractionSemifield(CharOneSemifield):
 
     def __init__(self, unit_body: Polygon | None = None):
         self._unit_body = unit_body if unit_body is not None else Polygon.square()
-        _unit_facets(self._unit_body)
+        _unit(self._unit_body)
 
     @property
     def unit_body(self) -> Polygon:

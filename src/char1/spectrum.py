@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convex import Direction, FracBody, Polygon, char_eval, normal_fan_rays, polar
+from .convex import Direction, FracBody, Polygon, char_eval, norm_ray, polar
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
 from .scalars import fmt_rat, parse_rat
@@ -80,32 +80,21 @@ def attain_norm(x, unit: Polygon | None = None) -> Character:
     attains the norm; a designated default is returned under a warning.
     """
     if isinstance(x, PAF):
-        peak = x.r_norm()
-        if peak == 0:
+        t, v = max(x.breakpoint_values(), key=lambda tv: abs(tv[1]))  # the first peak
+        if v == 0:
             warnings.warn("norm attainment on the zero element is degenerate")
-            return PointEval(x.lo)
-        for t, v in x.breakpoint_values():
-            if abs(v) == peak:
-                return PointEval(t)
-        raise AssertionError("unreachable: a PAF attains its norm at a breakpoint")
+        return PointEval(t)
 
     e = unit if unit is not None else Polygon.square()
-    pole = polar(e)
+    polar(e)  # reject a bad unit body before looking at x
     if isinstance(x, Polygon):
         x = FracBody.of(x)
     if not isinstance(x, FracBody):
         raise PreconditionError(f"no norm-attainment rule for {type(x).__name__}")
-    candidates = [Direction(px, py) for px, py in pole.vertices]
-    candidates += [Direction(px, py)
-                   for px, py in normal_fan_rays(x.pos) + normal_fan_rays(x.neg)]
-    best = max(abs(char_eval(psi, x, e)) for psi in candidates)
-    if best == 0:
+    ray, peak = norm_ray(x, e)
+    if peak == 0:
         warnings.warn("norm attainment on the zero element is degenerate")
-        return SupportDir(candidates[0], e)
-    for psi in candidates:
-        if abs(char_eval(psi, x, e)) == best:
-            return SupportDir(psi, e)
-    raise AssertionError("unreachable")
+    return SupportDir(Direction(*ray), e)
 
 
 @dataclass(frozen=True)
@@ -152,10 +141,7 @@ def separate(phi1: Character, phi2: Character, domain=(0, 1)):
             raise PreconditionError("characters normalized against different units")
         if phi1 == phi2:
             raise PreconditionError("characters coincide")
-        one = Fraction(1)
-        probes = [Polygon(((Fraction(0), Fraction(0)), v))
-                  for v in ((one, Fraction(0)), (-one, Fraction(0)),
-                            (Fraction(0), one), (Fraction(0), -one))]
+        probes = [Polygon(((0, 0), v)) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
         for a in probes:
             if apply_char(phi1, a) != apply_char(phi2, a):
                 return a

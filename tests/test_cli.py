@@ -229,6 +229,14 @@ def test_schema_violations_exit_1(tmp_path):
     assert main(["paf-norm", "--input", str(inp), "--output", str(out)]) == 1
 
 
+@pytest.mark.parametrize("section", [None, 3, "x", True, 1.5])
+def test_circle_check_rejects_non_objects(tmp_path, capsys, section):
+    code, out = run_cli(tmp_path, "val-circle-check", {"s": section})
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("char1: schema violation:") and err.count("\n") == 1
+
+
 def test_precondition_violations_exit_2(tmp_path):
     code, _ = run_cli(tmp_path, "paf-eval", {"f": LINE, "t": "3/2"})
     assert code == 2

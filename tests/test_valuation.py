@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -60,6 +61,21 @@ def test_quad_floor_and_between():
     assert (SQRT2 * 100).floor() == 141
     q = rational_between(SQRT2 - 1, Quad(F(1, 2)))
     assert SQRT2 - 1 < Quad(q) < Quad(F(1, 2))
+
+
+def test_quad_floor_is_exact_past_float_range():
+    big = 10**400
+    assert Quad(F(big, 3)).floor() == big // 3
+    assert Quad(F(0), F(big, 7)).floor() == math.isqrt(2 * big**2) // 7
+    assert Quad(F(0), -F(big, 7)).floor() == -(math.isqrt(2 * big**2) // 7) - 1
+    assert Quad(F(-big, 3), F(1, 10**300)).floor() == -(big // 3) - 1
+
+
+def test_circle_eval_far_from_the_origin():
+    s = CirclePAF.from_kinks(F(0), F(-1, 2), [(F(1, 4), F(0)), (F(3, 4), F(1))])
+    big = F(10**400, 3)  # 1/3 past an integer
+    assert s.eval(big) == s.eval(F(1, 3))
+    assert s.eval(Quad(big, F(0))) == s.eval(F(1, 3))
 
 
 def test_quad_rationality():
