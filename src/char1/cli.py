@@ -36,7 +36,7 @@ def emit_plot(f: PAF, samples: int) -> str:
 def _unit_body(payload) -> cx.Polygon:
     if "E" in payload:
         return cx.Polygon.from_json(payload["E"])
-    return cx.Polygon.square()
+    return cx.DEFAULT_UNIT
 
 
 def _cmd_paf_eval(payload, args):

@@ -151,10 +151,14 @@ def quotient_norm(f: PAF, k: ClosedSet) -> Fraction:
         raise PreconditionError("quotient norm needs a nonempty restriction set")
     if not k.within(f.lo, f.hi):
         raise PreconditionError("restriction set leaves the function's domain")
+    bps, pcs = f.breakpoints, f.pieces
     best = Fraction(0)
     for a, b in k.intervals:
-        pts = [a, b] + [t for t in f.breakpoints if a < t < b]
-        best = max(best, max(abs(f.eval(t)) for t in pts))
+        # |f| peaks at an end of [a, b] or at a breakpoint inside it; the
+        # breakpoints after a's cell up to b's cell are read off their pieces
+        i, j = f._cell_index(a), f._cell_index(b)
+        pts = [(a, pcs[i]), (b, pcs[j])] + [(bps[m], pcs[m]) for m in range(i + 1, j + 1)]
+        best = max(best, max(abs(s * t + c) for t, (s, c) in pts))
     return best
 
 

@@ -175,6 +175,11 @@ class Polygon:
         return cls(tuple(pts))
 
 
+# The default unit body E = [-1, 1]^2.  One shared object, so that its
+# facets and polar are built once for every caller that takes the default.
+DEFAULT_UNIT = Polygon.square()
+
+
 def _int_pair(v) -> tuple[int, int, int]:
     """(x, y, m) with v = (x / m, y / m), all integers and m > 0."""
     a, b = Fraction(v[0]), Fraction(v[1])
@@ -202,15 +207,46 @@ def _from_int_hull(ipts, den: int) -> Polygon:
     return p
 
 
-def minkowski(a: Polygon, b: Polygon) -> Polygon:
-    """Exact Minkowski sum via all pairwise vertex sums.
+def _edges(iv) -> list:
+    """The edge vectors of a canonical integer vertex list, in walk order:
+    none for a point, out and back for a segment."""
+    if len(iv) == 1:
+        return []
+    return [(qx - px, qy - py) for (px, py), (qx, qy) in zip(iv, iv[1:] + iv[:1])]
 
-    O(mn log mn), but uniformly correct across degenerate dimensions,
-    which is what the desk-scale suites need.  Runs on the cached integer
-    surrogates.
+
+def _half(e) -> int:
+    """The angle class of an edge vector, CCW from straight down: dx > 0,
+    then dx < 0 or straight up, then straight down.  Each class spans less
+    than a half-turn, so the cross product orders the vectors inside it."""
+    dx, dy = e
+    return 0 if dx > 0 else 1 if dx < 0 or dy > 0 else 2
+
+
+def _not_after(e, f) -> bool:
+    """Does the edge vector e come no later than f by angle?"""
+    he, hf = _half(e), _half(f)
+    return he < hf or he == hf and e[0] * f[1] - e[1] * f[0] >= 0
+
+
+def minkowski(a: Polygon, b: Polygon) -> Polygon:
+    """Exact Minkowski sum by merging the edge sequences of both bodies.
+
+    Both vertex lists run CCW from their lexicographic minimum, so their
+    edges are already sorted by angle from straight down; the merged
+    sequence walked from the sum of the two start vertices traces the
+    sum's boundary.  O((m + n) log(m + n)) on the cached integer
+    surrogates, for points and segments as for polygons.
     """
     den, ia, ib = _rescale(a, b)
-    return _from_int_hull([(x1 + x2, y1 + y2) for x1, y1 in ia for x2, y2 in ib], den)
+    ea, eb = _edges(ia)[::-1], _edges(ib)[::-1]  # taken from the end
+    x, y = ia[0][0] + ib[0][0], ia[0][1] + ib[0][1]
+    walk = [(x, y)]
+    for _ in range(len(ea) + len(eb) - 1):  # the last edge closes the walk
+        dx, dy = (ea if not eb or ea and _not_after(ea[-1], eb[-1]) else eb).pop()
+        x, y = x + dx, y + dy
+        walk.append((x, y))
+    return _from_int_hull(walk, den)
 
 
 def hull_union(a: Polygon, b: Polygon) -> Polygon:
@@ -457,7 +493,7 @@ class PolygonFractionSemifield(CharOneSemifield):
     name = "convex-fraction"
 
     def __init__(self, unit_body: Polygon | None = None):
-        self._unit_body = unit_body if unit_body is not None else Polygon.square()
+        self._unit_body = unit_body if unit_body is not None else DEFAULT_UNIT
         _unit(self._unit_body)
 
     @property

@@ -49,35 +49,13 @@ class PAF:
             a1, b1 = pcs[i]
             if a0 * t + b0 != a1 * t + b1:
                 raise PreconditionError(f"discontinuity at breakpoint {t}")
-        # canonical form: merge adjacent cells with identical pieces
-        merged_bps = [bps[0]]
-        merged_pcs = []
-        for i, pc in enumerate(pcs):
-            if merged_pcs and merged_pcs[-1] == pc:
-                merged_bps[-1] = bps[i + 1]
-            else:
-                merged_pcs.append(pc)
-                merged_bps.append(bps[i + 1])
+        merged_bps, merged_pcs = [bps[0]], []
+        for v, pc in zip(bps[1:], pcs):
+            _emit(merged_bps, merged_pcs, v, pc)
         object.__setattr__(self, "breakpoints", tuple(merged_bps))
         object.__setattr__(self, "pieces", tuple(merged_pcs))
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def _trusted(bps, pcs) -> "PAF":
-        """Internal: canonicalize data already known continuous and sorted."""
-        merged_bps = [bps[0]]
-        merged_pcs = []
-        for i, pc in enumerate(pcs):
-            if merged_pcs and merged_pcs[-1] == pc:
-                merged_bps[-1] = bps[i + 1]
-            else:
-                merged_pcs.append(pc)
-                merged_bps.append(bps[i + 1])
-        f = object.__new__(PAF)
-        object.__setattr__(f, "breakpoints", tuple(merged_bps))
-        object.__setattr__(f, "pieces", tuple(merged_pcs))
-        return f
 
     @classmethod
     def constant(cls, c, lo=0, hi=1) -> "PAF":
@@ -173,53 +151,65 @@ class PAF:
             )
 
     def _merged_cells(self, other: "PAF"):
-        """Yield (u, v, piece_self, piece_other) over the merged grid."""
-        grid = sorted(set(self.breakpoints) | set(other.breakpoints))
-        i = j = 0
-        for u, v in zip(grid, grid[1:]):
-            while self.breakpoints[i + 1] <= u:
+        """Yield (v, i, j) for each cell [u, v] of the merged grid, in order,
+        where pieces i of self and j of other hold on the cell: a
+        two-pointer walk over both breakpoint tuples, which share their
+        first and last entries."""
+        xs, ys = self.breakpoints, other.breakpoints
+        i = j = 1
+        while i < len(xs):
+            x, y = xs[i], ys[j]
+            if x < y:
+                yield x, i - 1, j - 1
                 i += 1
-            while other.breakpoints[j + 1] <= u:
+            elif y < x:
+                yield y, i - 1, j - 1
                 j += 1
-            yield u, v, self.pieces[i], other.pieces[j]
+            else:
+                yield x, i - 1, j - 1
+                i += 1
+                j += 1
 
     def oplus(self, other: "PAF") -> "PAF":
-        """Pointwise max, with crossing points inserted exactly."""
+        """Pointwise max, with crossing points inserted exactly.
+
+        Only the sign of D = self - other is needed at each grid point, and
+        D is continuous, so the sign at v read from the cell that ends
+        there is also the sign where the next cell starts: one integer
+        sign test per grid point (du, dv are D scaled by positive
+        integers), and a division only where D changes sign.
+        """
         self._check_domain(other)
-        bps = [self.lo]
-        pcs = []
-        for u, v, (a1, b1), (a2, b2) in self._merged_cells(other):
-            da, db = a1 - a2, b1 - b2
-            du = da * u + db
-            dv = da * v + db
+        ps, qs = self.pieces, other.pieces
+        fs, gs = _integer_pieces(ps), _integer_pieces(qs)
+        bps, pcs = [self.lo], []
+        du = _gap(fs[0], gs[0], self.lo)
+        for v, i, j in self._merged_cells(other):
+            dv = _gap(fs[i], gs[j], v)
             if du >= 0 and dv >= 0:
-                cuts = [(v, (a1, b1))]
+                _emit(bps, pcs, v, ps[i])
             elif du <= 0 and dv <= 0:
-                cuts = [(v, (a2, b2))]
-            else:
-                x = -db / da  # strict sign change forces a1 != a2
-                first, second = ((a1, b1), (a2, b2)) if du > 0 else ((a2, b2), (a1, b1))
-                cuts = [(x, first), (v, second)]
-            for t, pc in cuts:
-                bps.append(t)
-                pcs.append(pc)
-        return PAF._trusted(bps, pcs)
+                _emit(bps, pcs, v, qs[j])
+            else:  # a strict sign change forces different slopes
+                (a1, b1), (a2, b2) = ps[i], qs[j]
+                first, second = (ps[i], qs[j]) if du > 0 else (qs[j], ps[i])
+                _emit(bps, pcs, (b2 - b1) / (a1 - a2), first)
+                _emit(bps, pcs, v, second)
+            du = dv
+        return _unchecked(bps, pcs)
 
     def __add__(self, other: "PAF") -> "PAF":
         self._check_domain(other)
-        bps = [self.lo]
-        pcs = []
-        for _, v, (a1, b1), (a2, b2) in self._merged_cells(other):
-            bps.append(v)
-            pcs.append((a1 + a2, b1 + b2))
-        return PAF._trusted(bps, pcs)
+        ps, qs = self.pieces, other.pieces
+        bps, pcs = [self.lo], []
+        for v, i, j in self._merged_cells(other):
+            (a1, b1), (a2, b2) = ps[i], qs[j]
+            _emit(bps, pcs, v, (a1 + a2, b1 + b2))
+        return _unchecked(bps, pcs)
 
     def __neg__(self) -> "PAF":
         # negation preserves canonical form
-        f = object.__new__(PAF)
-        object.__setattr__(f, "breakpoints", self.breakpoints)
-        object.__setattr__(f, "pieces", tuple((-a, -b) for a, b in self.pieces))
-        return f
+        return _unchecked(self.breakpoints, [(-a, -b) for a, b in self.pieces])
 
     def __sub__(self, other: "PAF") -> "PAF":
         return self + (-other)
@@ -229,10 +219,7 @@ class PAF:
         q = _as_rat(q)
         if q == 0:
             return PAF.constant(0, self.lo, self.hi)
-        f = object.__new__(PAF)
-        object.__setattr__(f, "breakpoints", self.breakpoints)
-        object.__setattr__(f, "pieces", tuple((q * a, q * b) for a, b in self.pieces))
-        return f
+        return _unchecked(self.breakpoints, [(q * a, q * b) for a, b in self.pieces])
 
     def tropical_min(self, other: "PAF") -> "PAF":
         return -((-self).oplus(-other))
@@ -268,13 +255,41 @@ class PAF:
         return all(s <= t for s, t in zip(slopes, slopes[1:]))
 
     def clamp(self, c) -> "PAF":
-        """max(min(f, c), -c): the minimal-norm function agreeing with f on {|f| <= c}."""
+        """max(min(f, c), -c): the minimal-norm function agreeing with f on {|f| <= c}.
+
+        One walk over the cells: each breakpoint value is classed as above
+        c (1), below -c (-1) or between (0), and a cell whose ends differ
+        in class gets the level crossings strictly inside it.  On each
+        piece of a cell the clamp is c, -c or f, by the class of either
+        end that lies outside the band.
+        """
         c = _as_rat(c)
         if c < 0:
             raise PreconditionError("clamp bound must be nonnegative")
-        top = PAF.constant(c, self.lo, self.hi)
-        bottom = PAF.constant(-c, self.lo, self.hi)
-        return self.tropical_min(top).oplus(bottom)
+        levels = (-c, c) if c else (c,)
+        band = {1: (Fraction(0), c), -1: (Fraction(0), -c)}
+
+        def side(value):
+            return 1 if value > c else -1 if value < levels[0] else 0
+
+        bps, pcs = [self.lo], []
+        a, b = self.pieces[0]
+        fu = a * self.lo + b
+        ku = side(fu)
+        for v, pc in zip(self.breakpoints[1:], self.pieces):
+            a, b = pc
+            fv = a * v + b
+            kv = side(fv)
+            cuts = [(v, kv)]
+            if ku != kv:  # f is monotone on the cell: meet the levels in order
+                crossed = [((t - b) / a, 0) for t in levels if min(fu, fv) < t < max(fu, fv)]
+                cuts[:0] = crossed if fu < fv else crossed[::-1]
+            k_prev = ku
+            for t, k in cuts:
+                _emit(bps, pcs, t, band.get(k_prev or k, pc))
+                k_prev = k
+            fu, ku = fv, kv
+        return _unchecked(bps, pcs)
 
     # -- reparametrization ---------------------------------------------------
 
@@ -332,6 +347,42 @@ class PAF:
             return cls(bps, pcs)
         except PreconditionError as exc:
             raise SchemaError(f"bad PAF object: {exc}") from None
+
+
+def _emit(bps: list, pcs: list, v: Fraction, pc: Piece) -> None:
+    """Close a cell at v with the piece pc, merging it into the previous
+    cell when the two pieces are equal: the one step by which
+    ``__post_init__`` and every operation that can make equal neighbours
+    reach canonical form."""
+    if pcs and pcs[-1] == pc:
+        bps[-1] = v
+    else:
+        bps.append(v)
+        pcs.append(pc)
+
+
+def _integer_pieces(pcs) -> list[tuple[int, int, int]]:
+    """Each piece (a, b) as integers (n, m, d) with a = n/d, b = m/d, d > 0."""
+    out = []
+    for a, b in pcs:
+        da, db = a.denominator, b.denominator
+        out.append((a.numerator * db, b.numerator * da, da * db))
+    return out
+
+
+def _gap(p, q, t: Fraction) -> int:
+    """p(t) - q(t) for integer pieces p, q, times a positive integer."""
+    (n1, m1, d1), (n2, m2, d2) = p, q
+    x, y = t.numerator, t.denominator
+    return (n1 * x + m1 * y) * d2 - (n2 * x + m2 * y) * d1
+
+
+def _unchecked(bps, pcs) -> PAF:
+    """A PAF from breakpoints and pieces already canonical and continuous."""
+    f = object.__new__(PAF)
+    object.__setattr__(f, "breakpoints", tuple(bps))
+    object.__setattr__(f, "pieces", tuple(pcs))
+    return f
 
 
 def convex_split(f: PAF) -> tuple[PAF, PAF]:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convex import Direction, FracBody, Polygon, char_eval, norm_ray, polar
+from .convex import DEFAULT_UNIT, Direction, FracBody, Polygon, char_eval, norm_ray, polar
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
 from .scalars import fmt_rat, parse_rat
@@ -54,7 +54,7 @@ def character_from_json(data, unit: Polygon | None = None) -> Character:
         return PointEval(parse_rat(data["t"]))
     if kind == "dir":
         return SupportDir(Direction.from_json(data["psi"]),
-                          unit if unit is not None else Polygon.square())
+                          unit if unit is not None else DEFAULT_UNIT)
     raise SchemaError(f"unknown character kind {kind!r}")
 
 
@@ -85,7 +85,7 @@ def attain_norm(x, unit: Polygon | None = None) -> Character:
             warnings.warn("norm attainment on the zero element is degenerate")
         return PointEval(t)
 
-    e = unit if unit is not None else Polygon.square()
+    e = unit if unit is not None else DEFAULT_UNIT
     polar(e)  # reject a bad unit body before looking at x
     if isinstance(x, Polygon):
         x = FracBody.of(x)

@@ -266,7 +266,9 @@ def local_morphism_check(alpha, beta, x_src, x_dst, elements=None,
     Checks the two defining conditions on a finite test set: the point
     characters must correspond (alpha*x_dst + beta = x_src), and strictly
     positive valuations must transport to strictly positive valuations in
-    both directions.
+    both directions.  The valuation of f - f(x)*E at x is read straight off
+    f: subtracting a constant changes no slope, so it is the kink of f at
+    an interior point and zero at an endpoint.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     x_src, x_dst = Fraction(x_src), Fraction(x_dst)
@@ -276,12 +278,17 @@ def local_morphism_check(alpha, beta, x_src, x_dst, elements=None,
     if elements is None:
         elements = _default_probe_elements(x_src, lo, hi)
     for f in elements:
+        if f.domain != (lo, hi):
+            raise PreconditionError("probe elements must live on the domain")
         pulled = f.compose_affine(alpha, beta, lo, hi)
-        v_src = extend_valuation(x_src, f - PAF.constant(f.eval(x_src), lo, hi))
-        v_dst = extend_valuation(x_dst, pulled - PAF.constant(pulled.eval(x_dst), lo, hi))
-        if (v_src > 0) != (v_dst > 0):
+        if (_shifted_valuation(f, x_src) > 0) != (_shifted_valuation(pulled, x_dst) > 0):
             return False
     return True
+
+
+def _shifted_valuation(f: PAF, x: Fraction) -> Fraction:
+    """The valuation of f - f(x)*E at x (kink raises off the domain)."""
+    return Fraction(0) if x == f.lo or x == f.hi else kink(f, x)
 
 
 def _default_probe_elements(x, lo, hi):

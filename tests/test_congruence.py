@@ -142,6 +142,24 @@ def test_quotient_norm_infimum_is_attained():
         assert rival.r_norm() >= qn
 
 
+def test_quotient_norm_matches_evaluation_at_every_point():
+    # reference: |f| evaluated at both ends of each interval and at every
+    # breakpoint inside it, each through f.eval
+    rng = random.Random(12)
+    for _ in range(200):
+        f = random_paf(rng, max_cuts=rng.choice([3, 8]))
+        pool = list(f.breakpoints) + [F(rng.randint(0, 24), 24) for _ in range(4)]
+        ivs = []
+        for _ in range(rng.randint(1, 3)):
+            a, b = sorted(rng.sample(pool, 2)) if rng.random() < 0.8 else [rng.choice(pool)] * 2
+            ivs.append((a, b))
+        k = ClosedSet(tuple(ivs))
+        ref = max(abs(f.eval(t)) for a, b in k.intervals
+                  for t in [a, b] + [t for t in f.breakpoints if a < t < b])
+        out = quotient_norm(f, k)
+        assert out == ref and type(out) is F
+
+
 def test_order_witness_both_directions():
     rng = random.Random(13)
     for _ in range(40):

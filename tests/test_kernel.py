@@ -245,6 +245,24 @@ def test_convexity_criterion_on_large_pafs():
         assert convexity_criterion(f) == f.is_convex()
 
 
+def test_default_unit_is_one_shared_square():
+    from char1 import cli
+    from char1.convex import DEFAULT_UNIT, PolygonFractionSemifield
+    from char1.spectrum import character_from_json
+
+    assert DEFAULT_UNIT == E
+    body = FracBody(TRI, Polygon.hull([(0, 0), (-1, F(1, 2))]))
+    assert attain_norm(body) == attain_norm(body, Polygon.square())
+    assert attain_norm(TRI) == attain_norm(TRI, Polygon.square())
+    assert attain_norm(body).unit is attain_norm(TRI).unit is DEFAULT_UNIT
+    data = {"kind": "dir", "psi": ["1", "-2"]}
+    assert character_from_json(data) == character_from_json(data, Polygon.square())
+    assert character_from_json(data).unit is character_from_json(data).unit is DEFAULT_UNIT
+    assert cli._unit_body({}) is cli._unit_body({}) is DEFAULT_UNIT
+    assert PolygonFractionSemifield().unit_body is DEFAULT_UNIT
+    assert PolygonFractionSemifield().norm(body) == r_norm_frac(body, Polygon.square())
+
+
 BAD_UNITS = [
     Polygon.hull([(0, 0), (1, 0), (1, 1), (0, 1)]),  # origin on the boundary
     Polygon.hull([(1, 1), (2, 1), (2, 2)]),  # origin outside

@@ -168,6 +168,42 @@ def test_local_morphism_examples():
         local_morphism_check(3, 0, F(3, 4), F(1, 4))  # image leaves the domain
 
 
+def _old_local_morphism_check(alpha, beta, x_src, x_dst, elements, lo, hi):
+    """The construction the check used to make: build f - f(x)*E per probe."""
+    if alpha * x_dst + beta != x_src:
+        return False
+    for f in elements:
+        pulled = f.compose_affine(alpha, beta, lo, hi)
+        v_src = extend_valuation(x_src, f - PAF.constant(f.eval(x_src), lo, hi))
+        v_dst = extend_valuation(x_dst, pulled - PAF.constant(pulled.eval(x_dst), lo, hi))
+        if (v_src > 0) != (v_dst > 0):
+            return False
+    return True
+
+
+def test_local_morphism_check_matches_shifted_construction():
+    rng = random.Random(23)
+    lo, hi = F(0), F(1)
+    checked = 0
+    while checked < 150:
+        alpha = F(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 4))
+        x_dst = F(rng.randint(0, 12), 12)
+        x_src = F(rng.randint(0, 12), 12)
+        beta = x_src - alpha * x_dst
+        if not all(lo <= alpha * t + beta <= hi for t in (lo, hi)):
+            continue  # the pullback would leave the domain
+        hat = PAF.affine(1, -x_src).oplus(PAF.affine(-1, x_src))
+        probes = [hat, hat.scale(-1)] + [random_paf(rng, max_cuts=4) for _ in range(3)]
+        default = [PAF.identity(), PAF.constant(1)] + ([hat] if lo < x_src < hi else [])
+        for elements, given in ((default, None), (probes, probes)):
+            assert local_morphism_check(alpha, beta, x_src, x_dst, given) == \
+                _old_local_morphism_check(alpha, beta, x_src, x_dst, elements, lo, hi)
+        assert local_morphism_check(alpha, beta, x_src + F(1, 7), x_dst) is False
+        checked += 1
+    with pytest.raises(PreconditionError):  # a probe off the domain, as the subtraction raised
+        local_morphism_check(1, 0, F(1, 2), F(1, 2), [PAF.identity(0, 2)])
+
+
 # -- circle sections -------------------------------------------------------------
 
 
