@@ -10,14 +10,12 @@ from .congruence import (
     FractionRestriction,
     RestrictionCongruence,
     class_of_zero_contains,
-    extend_to_fractions,
     join,
     meet,
     min_representative,
     quotient_norm,
     related,
     sandwich,
-    zariski_V,
     zariski_laws,
 )
 from .convex import (
@@ -28,7 +26,6 @@ from .convex import (
     char_eval,
     frac_equal,
     frac_oplus,
-    gauge,
     hull_union,
     i_invariant,
     i_symmetrize,
@@ -40,7 +37,7 @@ from .convex import (
 )
 from .errors import Char1Error, PreconditionError, SchemaError
 from .paf import PAF, PAFSemifield, convex_split
-from .scalars import Rat, fmt_rat, parse_rat, rat
+from .scalars import fmt_rat, parse_rat
 from .semifield import SCALAR, CharOneSemifield, ScalarTrop
 from .spectrum import (
     Character,
@@ -61,14 +58,12 @@ from .valuation import (
     circle_global_sections_are_constant,
     circle_section_valid,
     convexity_criterion,
-    extend_valuation,
     germ,
     glue,
     is_local_unit,
     k_defined_check,
     kink,
     local_morphism_check,
-    localization_member,
     restrict_to_arc,
     smooth_neighborhood,
     valuation_at,

@@ -126,11 +126,11 @@ def _cmd_cong_minrep(payload, args):
 
 def _cmd_cong_zariski(payload, args):
     r1 = cg.RestrictionCongruence(cg.ClosedSet.from_json(payload["K1"]))
-    out = {"V": cg.zariski_V(r1).to_json()}
+    out = {"V": r1.k.to_json()}
     if "K2" in payload:
         r2 = cg.RestrictionCongruence(cg.ClosedSet.from_json(payload["K2"]))
-        out["V_join"] = cg.zariski_V(cg.join(r1, r2)).to_json()
-        out["V_meet"] = cg.zariski_V(cg.meet(r1, r2)).to_json()
+        out["V_join"] = cg.join(r1, r2).k.to_json()
+        out["V_meet"] = cg.meet(r1, r2).k.to_json()
         out["laws_ok"] = cg.zariski_laws(r1, r2)
     return out
 

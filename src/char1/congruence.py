@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import fmt_rat, parse_rat
+from .scalars import fmt_rat, parse_pair
 
 Interval = tuple[Fraction, Fraction]
 
@@ -82,8 +82,8 @@ class ClosedSet:
     @classmethod
     def from_json(cls, data) -> "ClosedSet":
         try:
-            ivs = tuple((parse_rat(a), parse_rat(b)) for a, b in data["intervals"])
-        except (KeyError, TypeError, ValueError) as exc:
+            ivs = tuple(parse_pair(iv, "an interval") for iv in data["intervals"])
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad closed set: {exc}") from None
         try:
             return cls(ivs)
@@ -96,7 +96,8 @@ class RestrictionCongruence:
     """Agreement on a closed subset of the domain.
 
     The empty set is allowed and flagged: it is the trivial congruence
-    relating everything.
+    relating everything.  Its Zariski closed set V(r), the point
+    characters factoring through the quotient, is exactly ``k``.
     """
 
     k: ClosedSet
@@ -177,15 +178,10 @@ def meet(r1: RestrictionCongruence, r2: RestrictionCongruence) -> RestrictionCon
     return RestrictionCongruence(r1.k.union(r2.k))
 
 
-def zariski_V(r: RestrictionCongruence) -> ClosedSet:
-    """Point characters factoring through the quotient: exactly K1."""
-    return r.k
-
-
 def zariski_laws(r1: RestrictionCongruence, r2: RestrictionCongruence) -> bool:
-    """V turns meet into union and join into intersection, exactly."""
-    return (zariski_V(meet(r1, r2)) == zariski_V(r1).union(zariski_V(r2))
-            and zariski_V(join(r1, r2)) == zariski_V(r1).intersect(zariski_V(r2)))
+    """V(r) = r.k turns meet into union and join into intersection, exactly."""
+    return (meet(r1, r2).k == r1.k.union(r2.k)
+            and join(r1, r2).k == r1.k.intersect(r2.k))
 
 
 # -- quotient order and decomposition witnesses ---------------------------------
@@ -281,8 +277,8 @@ def _min_gap(k1: ClosedSet, k2: ClosedSet) -> Fraction | None:
 
 @dataclass(frozen=True)
 class FractionRestriction:
-    """The unique congruence on difference pairs restricting to a
-    cancellative congruence on the convex functions."""
+    """The extension of a congruence to fractions: the unique congruence
+    on difference pairs restricting to ``base`` on the convex functions."""
 
     base: RestrictionCongruence
 
@@ -293,7 +289,3 @@ class FractionRestriction:
             if not g.is_convex():
                 raise PreconditionError("fraction pairs live over convex functions")
         return related(self.base, a + b2, a2 + b)
-
-
-def extend_to_fractions(r: RestrictionCongruence) -> FractionRestriction:
-    return FractionRestriction(r)

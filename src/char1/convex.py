@@ -20,14 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .scalars import fmt_rat, parse_rat
+from .scalars import fmt_rat, parse_pair
 from .semifield import CharOneSemifield
 
 Point = tuple[Fraction, Fraction]
-
-
-def pt(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
 
 
 def _holds_origin(iv) -> bool:
@@ -80,36 +76,37 @@ def _common_den(pts) -> int:
     return den
 
 
-def convex_hull(points) -> list[Point]:
-    """Monotone chain; returns canonical CCW vertices starting at the
-    lexicographic minimum, with no collinear interior points.
+def _store_hull(p: Polygon, ipts, den: int) -> Polygon:
+    """Give p the hull of the integer points ipts over the denominator den."""
+    hull = tuple(_int_hull(ipts))
+    object.__setattr__(p, "vertices",
+                       tuple((Fraction(x, den), Fraction(y, den)) for x, y in hull))
+    object.__setattr__(p, "_den", den)
+    object.__setattr__(p, "_iverts", hull)
+    return p
 
-    Orientation tests run on integer surrogate coordinates (the points
-    scaled by a common denominator): the hull only selects input points,
-    so the returned vertices are the original exact rationals.
-    """
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    if not pts:
-        raise PreconditionError("hull of an empty point set")
-    den = _common_den(pts)
-    hull = _int_hull([(int(x * den), int(y * den)) for x, y in pts])
-    return [(Fraction(x, den), Fraction(y, den)) for x, y in hull]
+
+def _from_int_hull(ipts, den: int) -> Polygon:
+    # the points are already integers over one denominator: skip __post_init__
+    return _store_hull(object.__new__(Polygon), ipts, den)
 
 
 @dataclass(frozen=True)
 class Polygon:
     """A convex polytope of dimension 0, 1 or 2, stored as its canonical
-    CCW vertex list."""
+    CCW vertex list: from the lexicographic minimum, no collinear interior
+    points.  The hull runs on the points times a common denominator
+    ``_den`` and only selects input points, so the vertices stay exact;
+    ``_iverts`` keeps them as integers for the exact queries."""
 
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        verts = tuple(convex_hull(self.vertices))
-        object.__setattr__(self, "vertices", verts)
-        den = _common_den(verts)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_iverts",
-                           tuple((int(x * den), int(y * den)) for x, y in verts))
+        pts = [(Fraction(x), Fraction(y)) for x, y in self.vertices]
+        if not pts:
+            raise PreconditionError("hull of an empty point set")
+        den = _common_den(pts)
+        _store_hull(self, [(int(x * den), int(y * den)) for x, y in pts], den)
 
     @classmethod
     def hull(cls, points) -> "Polygon":
@@ -167,8 +164,8 @@ class Polygon:
     @classmethod
     def from_json(cls, data) -> "Polygon":
         try:
-            pts = [(parse_rat(x), parse_rat(y)) for x, y in data["vertices"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            pts = [parse_pair(v, "a vertex") for v in data["vertices"]]
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad polygon object: {exc}") from None
         if not pts:
             raise SchemaError("polygon needs at least one vertex")
@@ -194,17 +191,6 @@ def _rescale(a: Polygon, b: Polygon):
     ia = [(x * sa, y * sa) for x, y in a._iverts]
     ib = [(x * sb, y * sb) for x, y in b._iverts]
     return den, ia, ib
-
-
-def _from_int_hull(ipts, den: int) -> Polygon:
-    # the integer hull is already canonical: skip the re-hulling __init__
-    hull = _int_hull(ipts)
-    p = object.__new__(Polygon)
-    object.__setattr__(p, "vertices",
-                       tuple((Fraction(x, den), Fraction(y, den)) for x, y in hull))
-    object.__setattr__(p, "_den", den)
-    object.__setattr__(p, "_iverts", tuple(hull))
-    return p
 
 
 def _edges(iv) -> list:
@@ -280,11 +266,7 @@ class Direction:
 
     @classmethod
     def from_json(cls, data) -> "Direction":
-        try:
-            p, q = (parse_rat(v) for v in data)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad direction: {exc}") from None
-        return cls(p, q)
+        return cls(*parse_pair(data, "a direction"))
 
 
 # -- gauges, polars, norms ----------------------------------------------------
@@ -328,14 +310,11 @@ def _unit(e: Polygon) -> tuple[list, Polygon]:
     return cached
 
 
-def gauge(v: Point, e: Polygon) -> Fraction:
-    """Least t >= 0 with v in t*E, from the facet inequalities of E."""
-    return r_norm_body(Polygon((v,)), e)
-
-
 def r_norm_body(a: Polygon, e: Polygon) -> Fraction:
     """Spectral norm of a body: the largest vertex gauge; zero only for {0}.
-    The gauge of v is the largest <n, v> / (c / d) over the facets of E."""
+    The gauge of v, the least t >= 0 with v in t*E, is the largest
+    <n, v> / (c / d) over the facets of E; it is r_norm_body of the point
+    body {v}."""
     best, c_best = 0, 1
     for n, c in _unit(e)[0]:
         top = a._isupport(*n)
@@ -523,7 +502,7 @@ class PolygonFractionSemifield(CharOneSemifield):
     def eq(self, x, y):
         return frac_equal(x, y)
 
-    def norm(self, x):
+    def r_norm(self, x):
         return r_norm_frac(x, self._unit_body)
 
     def random(self, rng):

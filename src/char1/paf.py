@@ -430,7 +430,7 @@ class PAFSemifield(CharOneSemifield):
     def unit(self):
         return PAF.constant(1, self._lo, self._hi)
 
-    def norm(self, x):
+    def r_norm(self, x):
         return x.r_norm()
 
     def random(self, rng, max_cuts=3):

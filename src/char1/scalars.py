@@ -12,17 +12,6 @@ from fractions import Fraction
 
 from .errors import SchemaError
 
-Rat = Fraction
-
-
-def rat(value, den=None) -> Fraction:
-    """Coerce ints, strings like "3/4", floats-free input to an exact rational."""
-    if den is not None:
-        return Fraction(value, den)
-    if isinstance(value, float):
-        raise TypeError("floats are not exact; pass a string or Fraction")
-    return Fraction(value)
-
 
 def parse_rat(text) -> Fraction:
     """Parse the "p/q" wire form."""
@@ -32,6 +21,14 @@ def parse_rat(text) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {text!r}: {exc}") from None
+
+
+def parse_pair(data, what: str) -> tuple[Fraction, Fraction]:
+    """Parse a pair in the wire form: a JSON list of exactly two "p/q"
+    strings.  ``what`` names the pair in the error message."""
+    if not isinstance(data, list) or len(data) != 2:
+        raise SchemaError(f"{what} must be a list of two rationals")
+    return parse_rat(data[0]), parse_rat(data[1])
 
 
 def fmt_rat(q) -> str:

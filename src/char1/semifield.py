@@ -7,10 +7,9 @@ an exact action of the rationals on every instance; a distinguished
 absorbing unit E pins down the spectral norm ``r_norm`` (the least
 ``t >= 0`` with ``-tE <= X <= tE``).
 
-The derived operations below (order, decomposition, tropical min,
-Frobenius scaling, the n-th power identity) are written once against the
-primitive hooks and shared by the scalar, piecewise-affine and convex
-models.
+The derived operations below (order, decomposition, tropical min, the
+n-th power identity) are written once against the primitive hooks and
+shared by the scalar, piecewise-affine and convex models.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ class CharOneSemifield:
     """Operation table for one semifield instance.
 
     Subclasses supply the primitive laws plus canonical-form equality and
-    (optionally) an exact norm procedure; everything else is derived.
+    (optionally) an exact ``r_norm``; everything else is derived.
     Elements are immutable and every operation is a pure function, so
     instances are safe for unrestricted concurrent use.
     """
@@ -43,7 +42,8 @@ class CharOneSemifield:
         raise NotImplementedError
 
     def scale(self, q, x):
-        """Exact action of the rational q (the Frobenius for q > 0)."""
+        """Exact action of the rational q (the Frobenius for q > 0):
+        multiplicative in q, additive over +."""
         raise NotImplementedError
 
     @property
@@ -58,7 +58,8 @@ class CharOneSemifield:
     def eq(self, x, y) -> bool:
         return x == y
 
-    def norm(self, x) -> Fraction:
+    def r_norm(self, x) -> Fraction:
+        """Least t >= 0 with -tE <= x <= tE; r(E) = 1, r(x) = 0 iff x = 0."""
         raise PreconditionError(f"{self.name}: no exact norm procedure")
 
     def random(self, rng):
@@ -99,10 +100,6 @@ class CharOneSemifield:
             raise PreconditionError(f"div_by_nat wants n >= 1, got {n}")
         return self.scale(Fraction(1, n), x)
 
-    def frobenius_scale(self, t, x):
-        """Action of the rational t; multiplicative in t, additive over +."""
-        return self.scale(Fraction(t), x)
-
     def power_identity_check(self, n: int, x, y) -> bool:
         """Does n*(x oplus y) equal the oplus-fold of k*x + (n-k)*y, k = 0..n?
 
@@ -117,13 +114,6 @@ class CharOneSemifield:
             term = self.plus(self.scale(Fraction(k), x), self.scale(Fraction(n - k), y))
             right = term if right is None else self.oplus(right, term)
         return self.eq(left, right)
-
-    def r_norm(self, x) -> Fraction:
-        """Least t >= 0 with -tE <= x <= tE; r(E) = 1, r(x) = 0 iff x = 0."""
-        return self.norm(x)
-
-    def is_zero(self, x) -> bool:
-        return self.eq(x, self.zero)
 
 
 class ScalarTrop(CharOneSemifield):
@@ -154,7 +144,7 @@ class ScalarTrop(CharOneSemifield):
     def unit(self):
         return Fraction(1)
 
-    def norm(self, x):
+    def r_norm(self, x):
         return abs(x)
 
     def random(self, rng):

@@ -152,10 +152,6 @@ _Q0 = Quad(Fraction(0))
 _Q1 = Quad(Fraction(1))
 
 
-def _as_quad(v) -> Quad:
-    return Quad._coerce(v)
-
-
 def _quad_sorted(values) -> list[Quad]:
     out = sorted(values, key=functools.cmp_to_key(lambda x, y: x._cmp(y)))
     dedup: list[Quad] = []
@@ -188,28 +184,26 @@ def kink(f: PAF, x) -> Fraction:
     return f.right_slope(x) - f.left_slope(x)
 
 
+def _shifted_valuation(f: PAF, x: Fraction) -> Fraction:
+    """The valuation of f - f(x)*E at x: zero at the domain endpoints by
+    convention, else the kink of f (subtracting a constant changes no
+    slope; kink raises off the domain)."""
+    return Fraction(0) if x == f.lo or x == f.hi else kink(f, x)
+
+
 def valuation_at(x, f: PAF) -> Fraction:
     """The kink valuation of f at x; requires f(x) = 0.
 
-    Zero at the domain endpoints by convention; nonnegative whenever f is
-    convex.
+    Nonnegative whenever f is convex.  It is also the valuation extended
+    to differences of convex functions: for f = g - h with g, h convex it
+    equals kink(g, x) - kink(h, x), the kink of f itself; independence of
+    the decomposition and rational homogeneity are exercised by the
+    suites.
     """
     x = Fraction(x)
     if f.eval(x) != 0:
         raise PreconditionError("valuations apply to functions vanishing at the point")
-    if x == f.lo or x == f.hi:
-        return Fraction(0)
-    return kink(f, x)
-
-
-def extend_valuation(x, f: PAF) -> Fraction:
-    """The valuation extended to arbitrary differences of convex functions.
-
-    For f = g - h with g, h convex it equals kink(g, x) - kink(h, x), i.e.
-    the kink of f itself; independence of the decomposition and rational
-    homogeneity are exercised by the suites.
-    """
-    return valuation_at(x, f)
+    return _shifted_valuation(f, x)
 
 
 def convexity_criterion(f: PAF) -> bool:
@@ -220,22 +214,14 @@ def convexity_criterion(f: PAF) -> bool:
     return all(kink(f, x) >= 0 for x in f.breakpoints[1:-1])
 
 
-def localization_member(a: PAF, b: PAF, x) -> bool:
-    """Is the formal difference a - b in the localization at the point?
-
-    Membership only constrains the denominator: b - b(x)*E may not kink
-    at x.  Endpoints carry the zero valuation, so everything is local
-    there.
-    """
-    return is_local_unit(b, x)
-
-
 def is_local_unit(f: PAF, x) -> bool:
-    """Additively invertible in the localized semiring: no kink at x."""
-    x = Fraction(x)
-    if x == f.lo or x == f.hi:
-        return True
-    return kink(f, x) == 0
+    """Additively invertible in the localized semiring: no kink at x.
+
+    A formal difference a - b lies in the localization at x exactly when
+    its denominator b is a local unit, i.e. b - b(x)*E does not kink at x.
+    Endpoints carry the zero valuation, so everything is local there.
+    """
+    return _shifted_valuation(f, Fraction(x)) == 0
 
 
 def smooth_neighborhood(f: PAF, x0) -> tuple[Fraction, Fraction]:
@@ -267,8 +253,7 @@ def local_morphism_check(alpha, beta, x_src, x_dst, elements=None,
     characters must correspond (alpha*x_dst + beta = x_src), and strictly
     positive valuations must transport to strictly positive valuations in
     both directions.  The valuation of f - f(x)*E at x is read straight off
-    f: subtracting a constant changes no slope, so it is the kink of f at
-    an interior point and zero at an endpoint.
+    f, without building the difference.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     x_src, x_dst = Fraction(x_src), Fraction(x_dst)
@@ -284,11 +269,6 @@ def local_morphism_check(alpha, beta, x_src, x_dst, elements=None,
         if (_shifted_valuation(f, x_src) > 0) != (_shifted_valuation(pulled, x_dst) > 0):
             return False
     return True
-
-
-def _shifted_valuation(f: PAF, x: Fraction) -> Fraction:
-    """The valuation of f - f(x)*E at x (kink raises off the domain)."""
-    return Fraction(0) if x == f.lo or x == f.hi else kink(f, x)
 
 
 def _default_probe_elements(x, lo, hi):
@@ -325,8 +305,8 @@ class CirclePAF:
     pieces: tuple[tuple[Quad, Quad], ...]
 
     def __post_init__(self):
-        bps = [_as_quad(t) for t in self.breakpoints]
-        pcs = [(_as_quad(a), _as_quad(b)) for a, b in self.pieces]
+        bps = [Quad._coerce(t) for t in self.breakpoints]
+        pcs = [(Quad._coerce(a), Quad._coerce(b)) for a, b in self.pieces]
         if not bps:
             raise PreconditionError("a circle section needs a breakpoint")
         if len(pcs) != len(bps):
@@ -358,7 +338,7 @@ class CirclePAF:
 
     @classmethod
     def constant(cls, c) -> "CirclePAF":
-        return cls((_Q0,), ((_Q0, _as_quad(c)),))
+        return cls((_Q0,), ((_Q0, Quad._coerce(c)),))
 
     @classmethod
     def from_kinks(cls, start_value, first_slope, kinks) -> "CirclePAF":
@@ -368,13 +348,13 @@ class CirclePAF:
         smallest breakpoint is ignored (the wrap determines it), and the
         constructor raises unless the data closes up around the circle.
         """
-        pts = sorted(((_as_quad(t), _as_quad(k)) for t, k in kinks),
+        pts = sorted(((Quad._coerce(t), Quad._coerce(k)) for t, k in kinks),
                      key=functools.cmp_to_key(lambda x, y: x[0]._cmp(y[0])))
         if not pts:
             return cls.constant(start_value)
         bps = [t for t, _ in pts]
-        slope = _as_quad(first_slope)
-        value = _as_quad(start_value)
+        slope = Quad._coerce(first_slope)
+        value = Quad._coerce(start_value)
         pieces = []
         for i, (t, k) in enumerate(pts):
             if i > 0:
@@ -393,14 +373,14 @@ class CirclePAF:
     def piece_at(self, t) -> tuple[Quad, Quad]:
         """The governing (slope, intercept) at canonical t, re-anchored so
         that evaluation at t itself is a*t + b."""
-        t = _as_quad(t)
+        t = Quad._coerce(t)
         t = t - t.floor()
         if t < self.breakpoints[0]:
             return _shift_piece(self.pieces[-1], 1)
         return self.pieces[self._arc_index(t)]
 
     def eval(self, t) -> Quad:
-        t = _as_quad(t)
+        t = Quad._coerce(t)
         t = t - t.floor()
         return _piece_value(self.piece_at(t), t)
 
@@ -410,7 +390,7 @@ class CirclePAF:
                 for i, bp in enumerate(self.breakpoints)]
 
     def kink_at(self, x) -> Quad:
-        x = _as_quad(x)
+        x = Quad._coerce(x)
         x = x - x.floor()
         for bp, k in self.kinks():
             if bp == x:
@@ -512,8 +492,8 @@ class ArcSection:
     pieces: tuple[tuple[Quad, Quad], ...]
 
     def __post_init__(self):
-        bps = tuple(_as_quad(t) for t in self.breakpoints)
-        pcs = tuple((_as_quad(a), _as_quad(b)) for a, b in self.pieces)
+        bps = tuple(Quad._coerce(t) for t in self.breakpoints)
+        pcs = tuple((Quad._coerce(a), Quad._coerce(b)) for a, b in self.pieces)
         if len(bps) < 2 or len(pcs) != len(bps) - 1:
             raise PreconditionError("arc data must span an interval")
         if any(not u < v for u, v in zip(bps, bps[1:])):
@@ -542,11 +522,11 @@ class ArcSection:
         return None
 
     def covers(self, t) -> bool:
-        return self._lift(_as_quad(t)) is not None
+        return self._lift(Quad._coerce(t)) is not None
 
     def piece_at(self, t) -> tuple[Quad, Quad]:
         """(slope, intercept) in canonical coordinates at circle point t."""
-        t = _as_quad(t)
+        t = Quad._coerce(t)
         lifted = self._lift(t)
         if lifted is None:
             raise PreconditionError(f"{t} is outside the arc")
@@ -560,7 +540,7 @@ class ArcSection:
 
 def restrict_to_arc(s: CirclePAF, lo, hi) -> ArcSection:
     """The restriction of a circle section to the lifted arc [lo, hi]."""
-    lo, hi = _as_quad(lo), _as_quad(hi)
+    lo, hi = Quad._coerce(lo), Quad._coerce(hi)
     if not (_Q0 <= lo < _Q1):
         raise PreconditionError("anchor the arc start in [0, 1)")
     if not lo < hi or hi - lo >= _Q1:
@@ -615,7 +595,7 @@ def glue(sections) -> CirclePAF:
 
 def germ(s: CirclePAF, x) -> tuple[tuple[Quad, Quad], tuple[Quad, Quad]]:
     """Stalk data at a point: the (left, right) canonical local pieces."""
-    x = _as_quad(x)
+    x = Quad._coerce(x)
     x = x - x.floor()
     right = s.piece_at(x)
     for i, bp in enumerate(s.breakpoints):
@@ -634,7 +614,7 @@ def k_defined_check(s0, left, right) -> bool:
     the check returns whether the kink vanishes; at a rational s0 the
     weaker condition applies: the kink must be a nonnegative rational.
     """
-    s0 = _as_quad(s0)
+    s0 = Quad._coerce(s0)
     a, b = (Fraction(v) for v in left)
     a2, b2 = (Fraction(v) for v in right)
     if s0 * a + b != s0 * a2 + b2:

@@ -201,6 +201,21 @@ def test_laws_run_golden(tmp_path):
     assert got["first_counterexample"] is None
 
 
+# Checks per suite at seed 7 and 25 cases: a change to any suite's draws or
+# checks moves its count.
+LAWS_RUN_COUNTS = {"semifield": 225, "decomposition": 110, "norm": 336, "convex": 1109,
+                   "character": 516, "congruence": 325, "valuation": 555}
+
+
+@pytest.mark.parametrize("suite", sorted(LAWS_RUN_COUNTS))
+def test_laws_run_case_counts(tmp_path, suite):
+    code, out = run_cli(tmp_path, "laws-run", None, suite, "--seed", "7", "--cases", "25")
+    got = json.loads(out)
+    assert code == 0 and got["suite"] == suite
+    assert got["cases"] == got["passed"] == LAWS_RUN_COUNTS[suite]
+    assert got["failed"] == 0
+
+
 def test_laws_run_unknown_suite(tmp_path):
     code, _ = run_cli(tmp_path, "laws-run", None, "nonsense")
     assert code == 1
@@ -235,6 +250,23 @@ def test_circle_check_rejects_non_objects(tmp_path, capsys, section):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("char1: schema violation:") and err.count("\n") == 1
+
+
+SQUARE01 = {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("poly-support", {"A": SQUARE01, "psi": "10"}),
+    ("poly-support", {"A": {"vertices": ["12", "30"]}, "psi": ["1", "0"]}),
+    ("poly-support", {"A": SQUARE01, "psi": {"1": 0, "0": 1}}),
+    ("cong-qnorm", {"f": LINE, "K1": {"intervals": ["01"]}}),
+], ids=["psi-string", "vertex-strings", "psi-object", "interval-string"])
+def test_pairs_must_be_lists_of_two(tmp_path, capsys, verb, payload):
+    code, out = run_cli(tmp_path, verb, payload)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("char1: schema violation:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_precondition_violations_exit_2(tmp_path):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from char1.congruence import (
     ClosedSet,
+    FractionRestriction,
     RestrictionCongruence,
     class_of_zero_contains,
     cutoff,
     dist_paf,
-    extend_to_fractions,
     join,
     meet,
     min_representative,
@@ -20,7 +20,6 @@ from char1.congruence import (
     related,
     sandwich,
     split_vanishing,
-    zariski_V,
     zariski_laws,
 )
 from char1.errors import PreconditionError
@@ -184,8 +183,8 @@ def test_join_meet_examples():
 
 def test_zariski_examples():
     r = RestrictionCongruence(ClosedSet.of((F(1, 4), F(1, 2))))
-    assert zariski_V(r) == ClosedSet.of((F(1, 4), F(1, 2)))
-    assert zariski_V(RestrictionCongruence(ClosedSet.empty())).is_empty
+    assert r.k == ClosedSet.of((F(1, 4), F(1, 2)))
+    assert RestrictionCongruence(ClosedSet.empty()).k.is_empty
     rng = random.Random(17)
     for _ in range(60):
         r1 = RestrictionCongruence(random_closed_set(rng))
@@ -197,10 +196,10 @@ def test_zariski_laws_on_triples():
     rng = random.Random(19)
     for _ in range(40):
         r1, r2, r3 = (RestrictionCongruence(random_closed_set(rng)) for _ in range(3))
-        lhs = zariski_V(meet(r1, meet(r2, r3)))
-        assert lhs == zariski_V(r1).union(zariski_V(r2)).union(zariski_V(r3))
-        lhs = zariski_V(join(r1, join(r2, r3)))
-        assert lhs == zariski_V(r1).intersect(zariski_V(r2)).intersect(zariski_V(r3))
+        lhs = meet(r1, meet(r2, r3)).k
+        assert lhs == r1.k.union(r2.k).union(r3.k)
+        lhs = join(r1, join(r2, r3)).k
+        assert lhs == r1.k.intersect(r2.k).intersect(r3.k)
 
 
 def test_split_vanishing_example():
@@ -223,7 +222,7 @@ def test_split_vanishing_requires_vanishing():
 
 def test_fraction_extension_examples():
     k = ClosedSet.of((F(1, 2), 1))
-    fr = extend_to_fractions(RestrictionCongruence(k))
+    fr = FractionRestriction(RestrictionCongruence(k))
     a = PAF.identity().oplus(PAF.constant(F(1, 2)))  # max(t, 1/2)
     b = PAF.identity()
     a2, b2 = PAF.constant(F(1, 2)), ZERO
@@ -235,7 +234,7 @@ def test_fraction_extension_examples():
 
 def test_fraction_extension_requires_convex():
     k = ClosedSet.of((F(1, 2), 1))
-    fr = extend_to_fractions(RestrictionCongruence(k))
+    fr = FractionRestriction(RestrictionCongruence(k))
     hat = PAF.affine(1, F(-1, 2)).oplus(PAF.affine(-1, F(1, 2)))
     with pytest.raises(PreconditionError):
         fr.related((-hat, ZERO), (-hat, ZERO))
@@ -258,7 +257,7 @@ def test_zero_class_fractions_can_be_smaller_than_fraction_zero_class():
     # vanish on the closed convex span of the restriction set, while the
     # extended relation only forces vanishing on the set itself
     k = ClosedSet.of((F(1, 5), F(2, 5)), (F(3, 5), F(4, 5)))
-    fr = extend_to_fractions(RestrictionCongruence(k))
+    fr = FractionRestriction(RestrictionCongruence(k))
     bump = (PAF.affine(1, F(-2, 5)).tropical_min(PAF.affine(-1, F(3, 5)))
             .oplus(PAF.constant(0)))  # hat supported on (2/5, 3/5)
     assert class_of_zero_contains(RestrictionCongruence(k), bump)

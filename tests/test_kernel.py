@@ -18,7 +18,6 @@ from char1.convex import (
     Polygon,
     PolygonFractionSemifield,
     char_eval,
-    gauge,
     polar,
     r_norm_body,
     r_norm_frac,
@@ -164,7 +163,7 @@ def test_unit_facets_polar_and_gauges_match_reference():
             a = random_body(rng, origin=rng.random() < 0.5)
             assert r_norm_body(a, e) == max(ref_gauge(v, e) for v in a.vertices)
             v = random_psi(rng)
-            assert gauge(v, e) == ref_gauge(v, e)
+            assert r_norm_body(Polygon((v,)), e) == ref_gauge(v, e)
 
 
 def test_char_eval_matches_reference():
@@ -260,7 +259,7 @@ def test_default_unit_is_one_shared_square():
     assert character_from_json(data).unit is character_from_json(data).unit is DEFAULT_UNIT
     assert cli._unit_body({}) is cli._unit_body({}) is DEFAULT_UNIT
     assert PolygonFractionSemifield().unit_body is DEFAULT_UNIT
-    assert PolygonFractionSemifield().norm(body) == r_norm_frac(body, Polygon.square())
+    assert PolygonFractionSemifield().r_norm(body) == r_norm_frac(body, Polygon.square())
 
 
 BAD_UNITS = [
@@ -271,7 +270,7 @@ BAD_UNITS = [
 ]
 
 ENTRY_POINTS = {
-    "gauge": lambda e: gauge((F(1), F(1)), e),
+    "gauge": lambda e: r_norm_body(Polygon(((F(1), F(1)),)), e),
     "r_norm_body": lambda e: r_norm_body(TRI, e),
     "polar": polar,
     "char_eval": lambda e: char_eval(Direction(1, 0), TRI, e),

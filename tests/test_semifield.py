@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from char1.errors import PreconditionError
-from char1.semifield import SCALAR
+from char1.semifield import SCALAR, CharOneSemifield
 
 rationals = st.fractions(max_denominator=32, min_value=-50, max_value=50)
 
@@ -27,15 +27,15 @@ def test_tropical_min_examples():
 
 
 def test_frobenius_scale_examples():
-    assert SCALAR.frobenius_scale(F(3, 2), F(4)) == F(6)
-    assert SCALAR.frobenius_scale(1, F(-7, 3)) == F(-7, 3)
-    assert SCALAR.frobenius_scale(0, F(5)) == F(0)
-    assert SCALAR.frobenius_scale(F(-2), F(3)) == F(-6)
+    assert SCALAR.scale(F(3, 2), F(4)) == F(6)
+    assert SCALAR.scale(1, F(-7, 3)) == F(-7, 3)
+    assert SCALAR.scale(0, F(5)) == F(0)
+    assert SCALAR.scale(F(-2), F(3)) == F(-6)
 
 
 def test_frobenius_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        SCALAR.frobenius_scale("1/0", F(1))
+        SCALAR.scale("1/0", F(1))
 
 
 def test_power_identity_example():
@@ -53,6 +53,11 @@ def test_r_norm_examples():
     assert SCALAR.r_norm(F(-5)) == F(5)
     assert SCALAR.r_norm(SCALAR.unit) == F(1)
     assert SCALAR.r_norm(SCALAR.zero) == F(0)
+
+
+def test_r_norm_without_a_procedure_raises():
+    with pytest.raises(PreconditionError):
+        CharOneSemifield().r_norm(F(1))
 
 
 def test_div_by_nat_validates():

@@ -16,14 +16,12 @@ from char1.valuation import (
     circle_kink_sum,
     circle_section_valid,
     convexity_criterion,
-    extend_valuation,
     germ,
     glue,
     is_local_unit,
     k_defined_check,
     kink,
     local_morphism_check,
-    localization_member,
     rational_between,
     restrict_to_arc,
     smooth_neighborhood,
@@ -111,8 +109,8 @@ def test_valuation_at_examples():
 
 
 def test_extend_valuation_homogeneity_and_splits():
-    assert extend_valuation(F(1, 2), HAT) == 2
-    assert extend_valuation(F(1, 2), HAT.scale(3)) == 6
+    assert valuation_at(F(1, 2), HAT) == 2
+    assert valuation_at(F(1, 2), HAT.scale(3)) == 6
     rng = random.Random(3)
     for _ in range(40):
         f = random_paf(rng)
@@ -122,7 +120,7 @@ def test_extend_valuation_homogeneity_and_splits():
 
         a, b = convex_split(f0)
         c = random_convex_paf(rng)
-        assert kink(a + c, x) - kink(b + c, x) == extend_valuation(x, f0)
+        assert kink(a + c, x) - kink(b + c, x) == valuation_at(x, f0)
 
 
 def test_convexity_criterion_examples():
@@ -139,10 +137,11 @@ def test_convexity_criterion_oracle_equivalence():
 
 
 def test_localization_member_examples():
-    assert localization_member(HAT, PAF.identity(), F(1, 3))
-    assert not localization_member(HAT, HAT, F(1, 2))
-    assert localization_member(HAT, HAT, F(1, 4))
-    assert localization_member(HAT, HAT, F(0))  # endpoint valuations vanish
+    # a - b lies in the localization at x exactly when b is a local unit
+    assert is_local_unit(PAF.identity(), F(1, 3))
+    assert not is_local_unit(HAT, F(1, 2))
+    assert is_local_unit(HAT, F(1, 4))
+    assert is_local_unit(HAT, F(0))  # endpoint valuations vanish
 
 
 def test_is_local_unit():
@@ -174,8 +173,8 @@ def _old_local_morphism_check(alpha, beta, x_src, x_dst, elements, lo, hi):
         return False
     for f in elements:
         pulled = f.compose_affine(alpha, beta, lo, hi)
-        v_src = extend_valuation(x_src, f - PAF.constant(f.eval(x_src), lo, hi))
-        v_dst = extend_valuation(x_dst, pulled - PAF.constant(pulled.eval(x_dst), lo, hi))
+        v_src = valuation_at(x_src, f - PAF.constant(f.eval(x_src), lo, hi))
+        v_dst = valuation_at(x_dst, pulled - PAF.constant(pulled.eval(x_dst), lo, hi))
         if (v_src > 0) != (v_dst > 0):
             return False
     return True
