@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import fmt_rat, parse_pair
+from .scalars import fmt_rat, parse_list, parse_pair
 
 Interval = tuple[Fraction, Fraction]
 
@@ -82,7 +82,8 @@ class ClosedSet:
     @classmethod
     def from_json(cls, data) -> "ClosedSet":
         try:
-            ivs = tuple(parse_pair(iv, "an interval") for iv in data["intervals"])
+            ivs = tuple(parse_pair(iv, "an interval")
+                        for iv in parse_list(data["intervals"], "intervals"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad closed set: {exc}") from None
         try:

@@ -15,12 +15,13 @@ such wherever it appears.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .scalars import fmt_rat, parse_pair
+from .scalars import fmt_rat, parse_list, parse_pair
 from .semifield import CharOneSemifield
 
 Point = tuple[Fraction, Fraction]
@@ -68,36 +69,38 @@ def _int_hull(ipts) -> list:
     return hull
 
 
-def _common_den(pts) -> int:
-    den = 1
-    for x, y in pts:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-        den = den * y.denominator // math.gcd(den, y.denominator)
-    return den
-
-
-def _store_hull(p: Polygon, ipts, den: int) -> Polygon:
-    """Give p the hull of the integer points ipts over the denominator den."""
-    hull = tuple(_int_hull(ipts))
-    object.__setattr__(p, "vertices",
-                       tuple((Fraction(x, den), Fraction(y, den)) for x, y in hull))
-    object.__setattr__(p, "_den", den)
-    object.__setattr__(p, "_iverts", hull)
+def _store_hull(hull, den: int, p: Polygon | None = None) -> Polygon:
+    """Give p (default: a new Polygon) the canonical integer vertex list
+    hull, CCW from the lexicographic minimum without collinear points, over
+    the denominator den; both are divided by their gcd, so that
+    (``_den``, ``_iverts``) is canonical."""
+    g = math.gcd(den, *(c for v in hull for c in v)) if den > 1 else 1
+    if g > 1:
+        den, hull = den // g, [(x // g, y // g) for x, y in hull]
+    if p is None:
+        p = object.__new__(Polygon)  # skips __post_init__
+    else:
+        del p.__dict__["vertices"]  # the raw input the dataclass stored
+    p.__dict__.update(_den=den, _iverts=tuple(hull))
     return p
 
 
 def _from_int_hull(ipts, den: int) -> Polygon:
-    # the points are already integers over one denominator: skip __post_init__
-    return _store_hull(object.__new__(Polygon), ipts, den)
+    """The hull of integer points over one denominator."""
+    return _store_hull(_int_hull(ipts), den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
-    """A convex polytope of dimension 0, 1 or 2, stored as its canonical
-    CCW vertex list: from the lexicographic minimum, no collinear interior
-    points.  The hull runs on the points times a common denominator
-    ``_den`` and only selects input points, so the vertices stay exact;
-    ``_iverts`` keeps them as integers for the exact queries."""
+    """A convex polytope of dimension 0, 1 or 2.
+
+    The stored form is (``_den``, ``_iverts``): the canonical CCW vertex
+    list (from the lexicographic minimum, no collinear interior points) as
+    integer pairs over one positive denominator, reduced by their common
+    gcd.  The hull runs on these integers and only selects input points, so
+    the vertices stay exact.  Equality and hashing compare the integers;
+    the ``Fraction`` tuple ``vertices`` is built on first access and
+    cached."""
 
     vertices: tuple[Point, ...]
 
@@ -105,8 +108,25 @@ class Polygon:
         pts = [(Fraction(x), Fraction(y)) for x, y in self.vertices]
         if not pts:
             raise PreconditionError("hull of an empty point set")
-        den = _common_den(pts)
-        _store_hull(self, [(int(x * den), int(y * den)) for x, y in pts], den)
+        den = math.lcm(*(c.denominator for v in pts for c in v))
+        _store_hull(_int_hull([(x.numerator * (den // x.denominator),
+                                y.numerator * (den // y.denominator)) for x, y in pts]), den, self)
+
+    def __getattr__(self, name):
+        if name != "vertices":
+            raise AttributeError(name)
+        den = self._den
+        verts = tuple((Fraction(x, den), Fraction(y, den)) for x, y in self._iverts)
+        object.__setattr__(self, "vertices", verts)
+        return verts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._den == other._den and self._iverts == other._iverts
+
+    def __hash__(self):
+        return hash((self._den, self._iverts))
 
     @classmethod
     def hull(cls, points) -> "Polygon":
@@ -123,7 +143,7 @@ class Polygon:
 
     @property
     def dim(self) -> int:
-        return min(len(self.vertices) - 1, 2)
+        return min(len(self._iverts) - 1, 2)
 
     def contains(self, p: Point) -> bool:
         x, y, m = _int_pair(p)
@@ -141,13 +161,12 @@ class Polygon:
         if q == 0:
             return Polygon.origin()
         # positive scaling preserves the canonical vertex order
-        return _from_int_hull(
-            [(x * q.numerator, y * q.numerator) for x, y in self._iverts],
-            self._den * q.denominator)
+        return _store_hull([(x * q.numerator, y * q.numerator) for x, y in self._iverts],
+                           self._den * q.denominator)
 
     def rotate90(self) -> "Polygon":
         """Multiplication by i: (x, y) -> (-y, x)."""
-        return Polygon(tuple((-y, x) for x, y in self.vertices))
+        return _from_int_hull([(-y, x) for x, y in self._iverts], self._den)
 
     def support(self, psi) -> Fraction:
         """max over the body of the linear form psi = (p, q)."""
@@ -164,7 +183,7 @@ class Polygon:
     @classmethod
     def from_json(cls, data) -> "Polygon":
         try:
-            pts = [parse_pair(v, "a vertex") for v in data["vertices"]]
+            pts = [parse_pair(v, "a vertex") for v in parse_list(data["vertices"], "vertices")]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad polygon object: {exc}") from None
         if not pts:
@@ -179,7 +198,7 @@ DEFAULT_UNIT = Polygon.square()
 
 def _int_pair(v) -> tuple[int, int, int]:
     """(x, y, m) with v = (x / m, y / m), all integers and m > 0."""
-    a, b = Fraction(v[0]), Fraction(v[1])
+    a, b = v  # ints or Fractions
     return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
 
 
@@ -221,18 +240,22 @@ def minkowski(a: Polygon, b: Polygon) -> Polygon:
     Both vertex lists run CCW from their lexicographic minimum, so their
     edges are already sorted by angle from straight down; the merged
     sequence walked from the sum of the two start vertices traces the
-    sum's boundary.  O((m + n) log(m + n)) on the cached integer
-    surrogates, for points and segments as for polygons.
+    sum's boundary.  The walk is canonical as it goes: a point between two
+    edges of the same direction is dropped, and so is the closing point
+    back at the start.  O(m + n) on the cached integer surrogates, for
+    points and segments as for polygons.
     """
     den, ia, ib = _rescale(a, b)
     ea, eb = _edges(ia)[::-1], _edges(ib)[::-1]  # taken from the end
     x, y = ia[0][0] + ib[0][0], ia[0][1] + ib[0][1]
-    walk = [(x, y)]
-    for _ in range(len(ea) + len(eb) - 1):  # the last edge closes the walk
+    walk, px, py = [(x, y)], 0, 0
+    for _ in range(len(ea) + len(eb)):
         dx, dy = (ea if not eb or ea and _not_after(ea[-1], eb[-1]) else eb).pop()
-        x, y = x + dx, y + dy
+        if px * dy == py * dx and px * dx + py * dy > 0:  # no turn at the last point
+            walk.pop()
+        x, y, px, py = x + dx, y + dy, dx, dy
         walk.append((x, y))
-    return _from_int_hull(walk, den)
+    return _store_hull(walk[:-1] or walk, den)  # a point plus a point has no edges
 
 
 def hull_union(a: Polygon, b: Polygon) -> Polygon:
@@ -250,13 +273,12 @@ class Direction:
     q: Fraction
 
     def __post_init__(self):
-        p, q = Fraction(self.p), Fraction(self.q)
-        if p == 0 and q == 0:
+        x, y, _ = _int_pair((self.p, self.q))
+        if x == 0 and y == 0:
             raise PreconditionError("direction must be nonzero")
-        m = math.lcm(p.denominator, q.denominator)
-        g = math.gcd(int(p * m), int(q * m))
-        object.__setattr__(self, "p", p * m / g)
-        object.__setattr__(self, "q", q * m / g)
+        g = math.gcd(x, y)
+        object.__setattr__(self, "p", Fraction(x // g))
+        object.__setattr__(self, "q", Fraction(y // g))
 
     def as_pair(self) -> Point:
         return (self.p, self.q)
@@ -303,8 +325,9 @@ def _unit(e: Polygon) -> tuple[list, Polygon]:
         if any(c <= 0 for _, c in fs):
             raise PreconditionError("unit body must contain the origin strictly inside")
         # facet <n, x> <= c / d becomes the polar vertex n * d / c
-        pole = Polygon(tuple((Fraction(nx * e._den, c), Fraction(ny * e._den, c))
-                             for (nx, ny), c in fs))
+        den = math.lcm(*(c for _, c in fs))
+        pole = _from_int_hull([(nx * e._den * (den // c), ny * e._den * (den // c))
+                               for (nx, ny), c in fs], den)
         cached = (fs, pole)
         object.__setattr__(e, "_unit", cached)
     return cached
@@ -328,17 +351,23 @@ def polar(e: Polygon) -> Polygon:
     return _unit(e)[1]
 
 
+@functools.cache
+def _circle() -> list:
+    """The 128 circle directions of r_norm_euclidean with their norms, built
+    on first use so that importing the module allocates none of them."""
+    return [(dx, dy, math.hypot(dx, dy)) for k in range(128)
+            for dx, dy in [(math.cos(k * math.pi / 64), math.sin(k * math.pi / 64))]]
+
+
 def r_norm_euclidean(a: Polygon) -> float:
     """Euclidean-unit norm, float mode: the support function evaluated over
     candidate directions on the circle.  Approximate (~1e-12); flagged as
     such in the CLI output."""
-    dirs = [(float(x), float(y)) for x, y in a.vertices if (x, y) != (0, 0)]
-    dirs += [(math.cos(k * math.pi / 64), math.sin(k * math.pi / 64)) for k in range(128)]
+    den = a._den
+    verts = [(x / den, y / den) for x, y in a._iverts]
     best = 0.0
-    verts = [(float(x), float(y)) for x, y in a.vertices]
-    for dx, dy in dirs:
-        norm = math.hypot(dx, dy)
-        if norm == 0.0:
+    for dx, dy, norm in [(dx, dy, math.hypot(dx, dy)) for dx, dy in verts] + _circle():
+        if norm == 0.0:  # the origin, or a vertex that rounds to it
             continue
         best = max(best, max(vx * dx + vy * dy for vx, vy in verts) / norm)
     return best
@@ -457,10 +486,8 @@ def i_invariant(a: Polygon) -> bool:
 
 def i_symmetrize(a: Polygon) -> Polygon:
     """Hull of the four rotations: the least i-invariant body containing a."""
-    b = a.rotate90()
-    c = b.rotate90()
-    d = c.rotate90()
-    return Polygon(a.vertices + b.vertices + c.vertices + d.vertices)
+    return _from_int_hull([v for x, y in a._iverts
+                           for v in ((x, y), (-y, x), (-x, -y), (y, -x))], a._den)
 
 
 # -- semifield adapter -----------------------------------------------------------

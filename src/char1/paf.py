@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .scalars import fmt_rat, parse_rat
+from .scalars import fmt_rat, parse_list, parse_rat
 from .semifield import CharOneSemifield
 
 Piece = tuple[Fraction, Fraction]
@@ -336,9 +336,10 @@ class PAF:
     @classmethod
     def from_json(cls, data) -> "PAF":
         try:
-            bps = tuple(parse_rat(t) for t in data["breakpoints"])
-            pcs = tuple((parse_rat(p["a"]), parse_rat(p["b"])) for p in data["pieces"])
-            domain = tuple(parse_rat(t) for t in data["domain"])
+            bps = tuple(parse_rat(t) for t in parse_list(data["breakpoints"], "breakpoints"))
+            pcs = tuple((parse_rat(p["a"]), parse_rat(p["b"]))
+                        for p in parse_list(data["pieces"], "pieces"))
+            domain = tuple(parse_rat(t) for t in parse_list(data["domain"], "domain"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad PAF object: {exc}") from None
         if len(bps) < 2 or domain != (bps[0], bps[-1]):

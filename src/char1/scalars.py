@@ -23,6 +23,14 @@ def parse_rat(text) -> Fraction:
         raise SchemaError(f"bad rational {text!r}: {exc}") from None
 
 
+def parse_list(data, what: str) -> list:
+    """Check that data is a JSON list.  ``what`` names it in the error
+    message."""
+    if not isinstance(data, list):
+        raise SchemaError(f"{what} must be a list")
+    return data
+
+
 def parse_pair(data, what: str) -> tuple[Fraction, Fraction]:
     """Parse a pair in the wire form: a JSON list of exactly two "p/q"
     strings.  ``what`` names the pair in the error message."""

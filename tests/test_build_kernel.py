@@ -96,6 +96,7 @@ def check_minkowski(a, b):
     assert out == ref_minkowski(a, b)
     assert all(type(x) is F and type(y) is F for x, y in out.vertices)
     assert out._iverts == tuple((x * out._den, y * out._den) for x, y in out.vertices)
+    assert math.gcd(out._den, *(c for v in out._iverts for c in v)) == 1
     return out
 
 

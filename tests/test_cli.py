@@ -260,7 +260,15 @@ SQUARE01 = {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]}
     ("poly-support", {"A": {"vertices": ["12", "30"]}, "psi": ["1", "0"]}),
     ("poly-support", {"A": SQUARE01, "psi": {"1": 0, "0": 1}}),
     ("cong-qnorm", {"f": LINE, "K1": {"intervals": ["01"]}}),
-], ids=["psi-string", "vertex-strings", "psi-object", "interval-string"])
+    ("cong-zariski", {"K1": {"intervals": ""}}),
+    ("cong-zariski", {"K1": {"intervals": {}}}),
+    ("paf-eval", {"f": {**LINE, "domain": "01", "breakpoints": "01"}, "t": "1/2"}),
+    ("paf-eval", {"f": {**LINE, "domain": {"0": 1, "1": 2}}, "t": "1/2"}),
+    ("paf-eval", {"f": {**LINE, "pieces": {"a": "2", "b": "-1"}}, "t": "1/2"}),
+    ("poly-support", {"A": {"vertices": {}}, "psi": ["1", "0"]}),
+], ids=["psi-string", "vertex-strings", "psi-object", "interval-string",
+        "intervals-string", "intervals-object", "paf-strings", "domain-object",
+        "pieces-object", "vertices-object"])
 def test_pairs_must_be_lists_of_two(tmp_path, capsys, verb, payload):
     code, out = run_cli(tmp_path, verb, payload)
     err = capsys.readouterr().err

@@ -236,3 +236,87 @@ def test_polygon_json_roundtrip():
         assert Polygon.from_json(a.to_json()) == a
         fb = FracBody(a, random_polygon(rng))
         assert FracBody.from_json(fb.to_json()) == fb
+
+
+# -- the stored integer form -------------------------------------------------------
+
+
+def rational_polygon(rng, n):
+    return Polygon(tuple((F(rng.randint(-9, 9), rng.randint(1, 6)),
+                          F(rng.randint(-9, 9), rng.randint(1, 6))) for _ in range(n)))
+
+
+def assert_canonical_ints(a):
+    assert a._den > 0 and math.gcd(a._den, *(c for v in a._iverts for c in v)) == 1
+
+
+def test_stored_form_is_reduced():
+    half = Polygon(((F(1, 2), 0),))
+    whole = minkowski(half, half)
+    assert (whole._den, whole._iverts) == (1, ((1, 0),))
+    small = Polygon(((0, 0), (F(1, 2), 0), (0, F(1, 2))))
+    assert minkowski(small, small)._den == 1
+    assert hull_union(SEG_X.dilate(F(2, 3)), SEG_Y.dilate(F(4, 3)))._den == 3
+
+
+def test_equal_bodies_have_equal_ints_and_hash():
+    rng = random.Random(61)
+    small = Polygon(((0, 0), (F(1, 2), 0), (0, F(1, 2))))
+    pairs = [(minkowski(small, small), Polygon.hull([(0, 0), (1, 0), (0, 1)])),
+             (Polygon.square(F(2, 3)).dilate(F(3, 2)), E)]
+    for _ in range(100):
+        a, q = rational_polygon(rng, rng.randint(1, 6)), F(rng.randint(1, 9), rng.randint(1, 9))
+        pairs.append((a.dilate(q).dilate(1 / q), a))
+        pairs.append((hull_union(a, a.dilate(q)).dilate(q), hull_union(a.dilate(q), a.dilate(q * q))))
+    for a, b in pairs:
+        assert_canonical_ints(a)
+        assert (a._den, a._iverts) == (b._den, b._iverts)
+        assert a == b and hash(a) == hash(b)
+
+
+def test_vertices_are_built_on_first_read():
+    a = minkowski(TRI, Polygon(((F(1, 3), F(1, 5)),)))
+    assert "vertices" not in a.__dict__
+    verts = a.vertices
+    assert verts == ((F(1, 3), F(1, 5)), (F(7, 3), F(1, 5)), (F(1, 3), F(6, 5)))
+    assert a.vertices is verts and a.__dict__["vertices"] is verts
+    assert "vertices" not in Polygon(((1, 2), (3, 4))).__dict__
+
+
+def test_rotations_match_the_fraction_hull():
+    rng = random.Random(63)
+    for _ in range(200):
+        a = rational_polygon(rng, rng.randint(1, 7))
+        b = a.rotate90()
+        assert b == Polygon(tuple((-y, x) for x, y in a.vertices))
+        c, d = b.rotate90(), b.rotate90().rotate90()
+        assert i_symmetrize(a) == Polygon(a.vertices + b.vertices + c.vertices + d.vertices)
+        assert_canonical_ints(b)
+        assert_canonical_ints(i_symmetrize(a))
+
+
+def test_direction_fields_are_primitive_integer_fractions():
+    rng = random.Random(67)
+    for _ in range(300):
+        p, q = F(rng.randint(-9, 9), rng.randint(1, 8)), F(rng.randint(-9, 9), rng.randint(1, 8))
+        if p == 0 and q == 0:
+            continue
+        d = Direction(p, q)
+        assert type(d.p) is F and type(d.q) is F
+        assert d.p.denominator == 1 and d.q.denominator == 1
+        assert math.gcd(d.p.numerator, d.q.numerator) == 1
+        m = math.lcm(p.denominator, q.denominator)
+        g = math.gcd(int(p * m), int(q * m))
+        assert (d.p, d.q) == (p * m / g, q * m / g)
+
+
+def test_euclidean_mode_is_pinned_on_rational_bodies():
+    bodies = [Polygon(((F(1, 3), F(-2, 7)), (F(5, 2), F(1, 9)), (F(-3, 4), F(4, 5)))),
+              Polygon(((0, 0), (F(7, 3), F(1, 3)))),
+              Polygon(((F(-1, 10), F(-1, 10)),)),
+              minkowski(Polygon.square(F(2, 3)),
+                        Polygon(((F(-5, 6), 0), (F(1, 6), F(11, 7)), (0, F(-1, 9))))),
+              i_symmetrize(Polygon(((0, 0), (F(13, 5), F(2, 11)))))]
+    assert [repr(r_norm_euclidean(a)) for a in bodies] == [
+        "2.502467917678935", "2.3570226039551585", "0.14142135623730953",
+        "2.3882032449582313", "2.6063495259154457"]
