@@ -354,7 +354,8 @@ def polar(e: Polygon) -> Polygon:
 @functools.cache
 def _circle() -> list:
     """The 128 circle directions of r_norm_euclidean with their norms, built
-    on first use so that importing the module allocates none of them."""
+    on first use.  Made at import, these ~500 small objects land in allocator
+    pools beside the freed compile garbage and keep about 0.6 MiB resident."""
     return [(dx, dy, math.hypot(dx, dy)) for k in range(128)
             for dx, dy in [(math.cos(k * math.pi / 64), math.sin(k * math.pi / 64))]]
 

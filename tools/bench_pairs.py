@@ -1,14 +1,14 @@
 """Compare two checkouts with alternating runs of the benchmark.
 
     python3 tools/bench_pairs.py --base PARENT_DIR --change CHANGE_DIR \
-        --workload laws --pairs 10 --seconds 35 --first-seed 501 --out BENCH_N.json
+        --workload laws --pairs 10 --first-seed 501 --out BENCH_N.json
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
-same seed; the order alternates from pair to pair (base first on even
-pairs), so slow drift on the machine hits both sides alike.  Seeds run from
-``--first-seed`` upward, one per pair.  Give ``--workload`` several times to
-measure several workloads; each gets its own ``--pairs`` count through
-``NAME:PAIRS`` (for example ``--workload large:3``).
+same seed and the run length BENCHMARK.json sets (``run_seconds``); the
+order alternates from pair to pair (base first on even pairs), so slow drift
+on the machine hits both sides alike.  Seeds run from ``--first-seed``
+upward, one per pair.  Give ``--workload`` several times to measure several
+workloads, each with the same ``--pairs`` count.
 
 The output JSON holds, per workload and side, every run's end-to-end
 metrics with their medians and quartiles, the seeds, each run's speed scale
@@ -79,9 +79,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True,
-                        help="NAME or NAME:PAIRS; repeat for several workloads")
+                        help="workload name; repeat for several workloads")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--first-seed", type=int, default=501)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -89,14 +88,12 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    report = {"command": spec["command"], "seconds": args.seconds,
+    report = {"command": spec["command"], "seconds": spec["run_seconds"],
               "python": platform.python_version(), "nproc": os.cpu_count(),
               "workloads": {}}
-    for item in args.workload:
-        name, _, n = item.partition(":")
-        report["workloads"][name] = compare(args.base, args.change, name,
-                                            int(n) if n else args.pairs, args.seconds,
-                                            args.first_seed, better)
+    for name in args.workload:
+        report["workloads"][name] = compare(args.base, args.change, name, args.pairs,
+                                            spec["run_seconds"], args.first_seed, better)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
