@@ -3,7 +3,8 @@
 Every number crossing this boundary is a "p/q" string (quadratic scalars
 are {"a","b"} objects); the only exception is the --euclidean float mode,
 whose output is flagged approximate.  Exit codes: 0 success, 1 schema
-violation, 2 precondition violation.
+violation or an unreadable input / unwritable output file, 2 precondition
+violation; each failure is one stderr line.
 """
 
 from __future__ import annotations
@@ -24,149 +25,103 @@ from .paf import PAF
 from .scalars import fmt_rat, parse_rat
 
 
+MAX_PLOT_SAMPLES = 10_000
+
+
 def emit_plot(f: PAF, samples: int) -> str:
     """CSV rows (t, f(t)): evenly spaced samples plus every breakpoint."""
-    if samples < 2:
-        raise PreconditionError("plotting needs at least 2 samples")
+    if not 2 <= samples <= MAX_PLOT_SAMPLES:
+        raise PreconditionError(f"plotting needs 2 to {MAX_PLOT_SAMPLES} samples, got {samples}")
     pts = {f.lo + (f.hi - f.lo) * Fraction(i, samples - 1) for i in range(samples)}
     pts |= set(f.breakpoints)
     return "".join(f"{fmt_rat(t)},{fmt_rat(f.eval(t))}\n" for t in sorted(pts))
 
 
-def _unit_body(payload) -> cx.Polygon:
-    if "E" in payload:
-        return cx.Polygon.from_json(payload["E"])
-    return cx.DEFAULT_UNIT
+# Every payload field and its decoder.
+_FIELDS = {
+    "f": PAF.from_json, "g": PAF.from_json,
+    "A": cx.Polygon.from_json, "B": cx.Polygon.from_json, "E": cx.Polygon.from_json,
+    "psi": cx.Direction.from_json,
+    "K1": cg.ClosedSet.from_json, "K2": cg.ClosedSet.from_json,
+    "s": vl.CirclePAF.from_json,
+    "t": parse_rat, "c": parse_rat, "x": parse_rat,
+}
 
 
-def _cmd_paf_eval(payload, args):
-    f = PAF.from_json(payload["f"])
-    return {"value": fmt_rat(f.eval(parse_rat(payload["t"])))}
+class _Payload(dict):
+    """The request object.  Reading a field decodes it with its ``_FIELDS``
+    decoder, so fields are decoded in the order a verb reads them, and a
+    field the verb does not read is never decoded."""
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise SchemaError(f"missing field {key!r}")
+        return _FIELDS[key](super().__getitem__(key))
 
 
-def _cmd_paf_oplus(payload, args):
-    f, g = PAF.from_json(payload["f"]), PAF.from_json(payload["g"])
-    return {"result": f.oplus(g).to_json()}
+def _unit_body(p) -> cx.Polygon:
+    return p["E"] if "E" in p else cx.DEFAULT_UNIT
 
 
-def _cmd_paf_norm(payload, args):
-    return {"r": fmt_rat(PAF.from_json(payload["f"]).r_norm())}
-
-
-def _cmd_paf_clamp(payload, args):
-    f = PAF.from_json(payload["f"])
-    return {"result": f.clamp(parse_rat(payload["c"])).to_json()}
-
-
-def _cmd_paf_plot(payload, args):
-    return emit_plot(PAF.from_json(payload["f"]), args.samples)
-
-
-def _cmd_poly_hull_union(payload, args):
-    a, b = cx.Polygon.from_json(payload["A"]), cx.Polygon.from_json(payload["B"])
-    return {"result": cx.hull_union(a, b).to_json()}
-
-
-def _cmd_poly_minkowski(payload, args):
-    a, b = cx.Polygon.from_json(payload["A"]), cx.Polygon.from_json(payload["B"])
-    return {"result": cx.minkowski(a, b).to_json()}
-
-
-def _cmd_poly_support(payload, args):
-    a = cx.Polygon.from_json(payload["A"])
-    psi = cx.Direction.from_json(payload["psi"])
-    return {"value": fmt_rat(a.support(psi.as_pair()))}
-
-
-def _cmd_poly_rnorm(payload, args):
-    a = cx.Polygon.from_json(payload["A"])
+def _cmd_poly_rnorm(p, args):
+    a = p["A"]
     if args.euclidean:
         return {"r_euclidean": cx.r_norm_euclidean(a), "approximate": True}
-    return {"r": fmt_rat(cx.r_norm_body(a, _unit_body(payload)))}
+    return {"r": fmt_rat(cx.r_norm_body(a, _unit_body(p)))}
 
 
-def _cmd_poly_polar(payload, args):
-    return {"result": cx.polar(cx.Polygon.from_json(payload["E"])).to_json()}
+def _cmd_spec_attain(p, args):
+    x = p["f"] if "f" in p else p["A"]
+    phi = sp.attain_norm(x) if "f" in p else sp.attain_norm(x, _unit_body(p))
+    return {"character": phi.to_json(), "value": fmt_rat(sp.apply_char(phi, x))}
 
 
-def _cmd_spec_attain(payload, args):
-    if "f" in payload:
-        f = PAF.from_json(payload["f"])
-        phi = sp.attain_norm(f)
-        value = sp.apply_char(phi, f)
-    else:
-        a = cx.Polygon.from_json(payload["A"])
-        phi = sp.attain_norm(a, _unit_body(payload))
-        value = sp.apply_char(phi, a)
-    return {"character": phi.to_json(), "value": fmt_rat(value)}
+def _cmd_spec_classify(p, args):
+    v = sp.classify(p["f"])
+    eps = fmt_rat(v.epsilon) if v.epsilon is not None else None
+    return {"nonneg": v.nonneg, "regular": v.regular, "absorbing": v.absorbing, "epsilon": eps}
 
 
-def _cmd_spec_classify(payload, args):
-    verdict = sp.classify(PAF.from_json(payload["f"]))
-    return {
-        "nonneg": verdict.nonneg,
-        "regular": verdict.regular,
-        "absorbing": verdict.absorbing,
-        "epsilon": fmt_rat(verdict.epsilon) if verdict.epsilon is not None else None,
-    }
-
-
-def _cmd_cong_qnorm(payload, args):
-    f = PAF.from_json(payload["f"])
-    k = cg.ClosedSet.from_json(payload["K1"])
-    return {"r": fmt_rat(cg.quotient_norm(f, k))}
-
-
-def _cmd_cong_minrep(payload, args):
-    f = PAF.from_json(payload["f"])
-    k = cg.ClosedSet.from_json(payload["K1"])
-    rep = cg.min_representative(f, k)
+def _cmd_cong_minrep(p, args):
+    rep = cg.min_representative(p["f"], p["K1"])
     return {"result": rep.to_json(), "r": fmt_rat(rep.r_norm())}
 
 
-def _cmd_cong_zariski(payload, args):
-    r1 = cg.RestrictionCongruence(cg.ClosedSet.from_json(payload["K1"]))
+def _cmd_cong_zariski(p, args):
+    r1 = cg.RestrictionCongruence(p["K1"])
     out = {"V": r1.k.to_json()}
-    if "K2" in payload:
-        r2 = cg.RestrictionCongruence(cg.ClosedSet.from_json(payload["K2"]))
+    if "K2" in p:
+        r2 = cg.RestrictionCongruence(p["K2"])
         out["V_join"] = cg.join(r1, r2).k.to_json()
         out["V_meet"] = cg.meet(r1, r2).k.to_json()
         out["laws_ok"] = cg.zariski_laws(r1, r2)
     return out
 
 
-def _cmd_val_kink(payload, args):
-    f = PAF.from_json(payload["f"])
-    return {"kink": fmt_rat(vl.kink(f, parse_rat(payload["x"])))}
-
-
-def _cmd_val_convexity(payload, args):
-    return {"convex": vl.convexity_criterion(PAF.from_json(payload["f"]))}
-
-
-def _cmd_val_circle_check(payload, args):
-    s = vl.CirclePAF.from_json(payload["s"])
+def _cmd_val_circle_check(p, args):
+    s = p["s"]
     return {"valid": vl.circle_section_valid(s), "constant": s.is_constant()}
 
 
+# verb -> handler(payload, args): a JSON-ready dict, or the text of paf-plot.
 _VERBS = {
-    "paf-eval": _cmd_paf_eval,
-    "paf-oplus": _cmd_paf_oplus,
-    "paf-norm": _cmd_paf_norm,
-    "paf-clamp": _cmd_paf_clamp,
-    "paf-plot": _cmd_paf_plot,
-    "poly-hull-union": _cmd_poly_hull_union,
-    "poly-minkowski": _cmd_poly_minkowski,
-    "poly-support": _cmd_poly_support,
+    "paf-eval": lambda p, args: {"value": fmt_rat(p["f"].eval(p["t"]))},
+    "paf-oplus": lambda p, args: {"result": p["f"].oplus(p["g"]).to_json()},
+    "paf-norm": lambda p, args: {"r": fmt_rat(p["f"].r_norm())},
+    "paf-clamp": lambda p, args: {"result": p["f"].clamp(p["c"]).to_json()},
+    "paf-plot": lambda p, args: emit_plot(p["f"], args.samples),
+    "poly-hull-union": lambda p, args: {"result": cx.hull_union(p["A"], p["B"]).to_json()},
+    "poly-minkowski": lambda p, args: {"result": cx.minkowski(p["A"], p["B"]).to_json()},
+    "poly-support": lambda p, args: {"value": fmt_rat(p["A"].support(p["psi"].as_pair()))},
     "poly-rnorm": _cmd_poly_rnorm,
-    "poly-polar": _cmd_poly_polar,
+    "poly-polar": lambda p, args: {"result": cx.polar(p["E"]).to_json()},
     "spec-attain": _cmd_spec_attain,
     "spec-classify": _cmd_spec_classify,
-    "cong-qnorm": _cmd_cong_qnorm,
+    "cong-qnorm": lambda p, args: {"r": fmt_rat(cg.quotient_norm(p["f"], p["K1"]))},
     "cong-minrep": _cmd_cong_minrep,
     "cong-zariski": _cmd_cong_zariski,
-    "val-kink": _cmd_val_kink,
-    "val-convexity": _cmd_val_convexity,
+    "val-kink": lambda p, args: {"kink": fmt_rat(vl.kink(p["f"], p["x"]))},
+    "val-convexity": lambda p, args: {"convex": vl.convexity_criterion(p["f"])},
     "val-circle-check": _cmd_val_circle_check,
 }
 
@@ -188,27 +143,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_payload(args) -> dict:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+def _read_payload(args) -> _Payload:
+    try:
+        if args.input:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except UnicodeDecodeError:
+        raise SchemaError("input is not UTF-8 text") from None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"input is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SchemaError("input must be a JSON object")
-    return payload
+    return _Payload(payload)
 
 
-def _write(args, text: str):
-    if args.output:
+def _write(args, text: str, code: int) -> int:
+    """Write text to --output or stdout; return code, or 1 if that fails."""
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"char1: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return 1
+    return code
 
 
 def main(argv=None) -> int:
@@ -225,30 +189,27 @@ def main(argv=None) -> int:
             print(f"char1: laws-run needs a suite from {sorted(SUITES)}", file=sys.stderr)
             return 1
         report = run_suite(args.suite, seed=args.seed, cases=args.cases)
-        _write(args, json.dumps(report.to_json(), sort_keys=True) + "\n")
-        return 0 if report.ok else 1
+        return _write(args, json.dumps(report.to_json(), sort_keys=True) + "\n",
+                      0 if report.ok else 1)
 
     handler = _VERBS.get(args.verb)
     if handler is None:
         print(f"char1: unknown verb {args.verb!r}", file=sys.stderr)
         return 1
     try:
-        payload = _read_payload(args)
-        result = handler(payload, args)
+        result = handler(_read_payload(args), args)
+    except OSError as exc:
+        print(f"char1: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
+        return 1
     except SchemaError as exc:
         print(f"char1: schema violation: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"char1: schema violation: missing field {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:
         print(f"char1: precondition violated: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, str):
-        _write(args, result)
-    else:
-        _write(args, json.dumps(result, sort_keys=True) + "\n")
-    return 0
+    if not isinstance(result, str):
+        result = json.dumps(result, sort_keys=True) + "\n"
+    return _write(args, result, 0)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Each suite draws random elements from small exact grids, checks the
 algebraic laws and norm identities with exact equality (tolerance zero),
 and reports pass/fail counts plus the first counterexample verbatim.
-The CLI's laws-run verb and the acceptance tests both run these.
+The CLI's laws-run verb and the acceptance tests both run these.  The
+semifield, decomposition and norm suites check the laws of
+``semifield.LAWS`` on every model of ``_INSTANCES``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import convex as cx
 from . import spectrum as sp
 from . import valuation as vl
 from .paf import PAF, PAFSemifield, convex_split, random_paf
-from .semifield import SCALAR
+from .semifield import LAWS, SCALAR
 from .errors import PreconditionError
 
 
@@ -61,6 +63,11 @@ class _Tally:
             if self.first is None:
                 shown = ", ".join(repr(a) for a in args)
                 self.first = f"{label}: {shown}" if shown else label
+
+    def law(self, model: str, ops, name: str, *args):
+        """Check ``LAWS[name]`` on ``ops`` at ``args``, labelled by model and
+        law; a counterexample shows exactly the law's arguments."""
+        self.check(LAWS[name](ops, *args), f"{model}: {name}", *args)
 
     def report(self) -> SuiteReport:
         return SuiteReport(self.name, self.cases, self.failed, self.first)
@@ -127,6 +134,18 @@ _INSTANCES = {
 }
 
 
+def _models(seed, cases, convex_share):
+    """(model, ops, rng, rounds) for each model of ``_INSTANCES``, each with
+    its own seeded stream.  The convex-fraction model, the slowest, runs
+    ``max(1, cases // convex_share)`` rounds when ``convex_share`` > 1."""
+    for model, make in _INSTANCES.items():
+        ops = make()
+        rounds = cases
+        if model == "convex-fraction" and convex_share > 1:
+            rounds = max(1, cases // convex_share)
+        yield model, ops, random.Random(f"{seed}:{model}"), rounds
+
+
 # -- suites ----------------------------------------------------------------------
 
 
@@ -134,51 +153,23 @@ def run_semifield_suite(seed=0, cases=1000) -> SuiteReport:
     """Idempotent-sum laws, distributivity, perfectness and the n-th power
     identity, on the scalar, piecewise-affine and convex-fraction models."""
     tally = _Tally("semifield")
-    for label, make in _INSTANCES.items():
-        ops = make()
-        rng = random.Random(f"{seed}:{label}")
-        for _ in range(cases):
+    for model, ops, rng, rounds in _models(seed, cases, convex_share=1):
+        for _ in range(rounds):
             x, y, z = ops.random(rng), ops.random(rng), ops.random(rng)
-            ok = (
-                ops.eq(ops.oplus(x, y), ops.oplus(y, x))
-                and ops.eq(ops.oplus(ops.oplus(x, y), z), ops.oplus(x, ops.oplus(y, z)))
-                and ops.eq(ops.oplus(x, x), x)
-                and ops.eq(ops.plus(x, y), ops.plus(y, x))
-                and ops.eq(ops.plus(ops.plus(x, y), z), ops.plus(x, ops.plus(y, z)))
-                and ops.eq(ops.plus(x, ops.zero), x)
-                and ops.eq(ops.plus(x, ops.neg(x)), ops.zero)
-                and ops.eq(ops.plus(x, ops.oplus(y, z)),
-                           ops.oplus(ops.plus(x, y), ops.plus(x, z)))
-            )
-            tally.check(ok, f"{label}: semifield law", x, y, z)
-            n = rng.randint(1, 5)
-            tally.check(ops.power_identity_check(n, x, y),
-                        f"{label}: power identity n={n}", x, y)
-            m = rng.randint(1, 4)
-            tally.check(ops.eq(ops.div_by_nat(m, ops.nat_mul(m, x)), x)
-                        and ops.eq(ops.nat_mul(m, ops.div_by_nat(m, x)), x),
-                        f"{label}: perfectness n={m}", x)
+            tally.law(model, ops, "semifield law", x, y, z)
+            tally.law(model, ops, "power identity", rng.randint(1, 5), x, y)
+            tally.law(model, ops, "perfectness", rng.randint(1, 4), x)
     return tally.report()
 
 
 def run_decomposition_suite(seed=0, cases=1000) -> SuiteReport:
     """Positive/negative part reassembly and the max-plus-min identity."""
     tally = _Tally("decomposition")
-    for label in ("scalar", "paf", "convex-fraction"):
-        ops = _INSTANCES[label]()
-        rng = random.Random(f"{seed}:{label}")
-        rounds = cases if label != "convex-fraction" else max(1, cases // 5)
+    for model, ops, rng, rounds in _models(seed, cases, convex_share=5):
         for _ in range(rounds):
             x, y = ops.random(rng), ops.random(rng)
-            pos, neg = ops.decompose(x)
-            tally.check(
-                ops.eq(ops.minus(pos, neg), x)
-                and ops.leq(ops.zero, pos) and ops.leq(ops.zero, neg),
-                f"{label}: decomposition", x)
-            tally.check(
-                ops.eq(ops.plus(x, y),
-                       ops.plus(ops.oplus(x, y), ops.tropical_min(x, y))),
-                f"{label}: sum = max + min", x, y)
+            tally.law(model, ops, "decomposition", x)
+            tally.law(model, ops, "sum = max + min", x, y)
     return tally.report()
 
 
@@ -186,39 +177,21 @@ def run_norm_suite(seed=0, cases=1000) -> SuiteReport:
     """Unit norm, subadditivity, homogeneity, the ultrametric inequality,
     the spectral split, and order monotonicity, all exact."""
     tally = _Tally("norm")
-    for label in ("scalar", "paf", "convex-fraction"):
-        ops = _INSTANCES[label]()
-        rng = random.Random(f"{seed}:{label}")
-        tally.check(ops.r_norm(ops.unit) == 1, f"{label}: r(E) = 1")
-        tally.check(ops.r_norm(ops.zero) == 0, f"{label}: r(0) = 0")
-        rounds = cases if label != "convex-fraction" else max(1, cases // 5)
+    for model, ops, rng, rounds in _models(seed, cases, convex_share=5):
+        tally.law(model, ops, "r(E) = 1")
+        tally.law(model, ops, "r(0) = 0")
         for _ in range(rounds):
             x, y = ops.random(rng), ops.random(rng)
             x2, y2 = ops.random(rng), ops.random(rng)
             q = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-            tally.check(ops.r_norm(ops.plus(x, y)) <= ops.r_norm(x) + ops.r_norm(y),
-                        f"{label}: subadditivity", x, y)
-            tally.check(ops.r_norm(ops.scale(q, x)) == abs(q) * ops.r_norm(x),
-                        f"{label}: homogeneity", q, x)
-            lhs = ops.r_norm(ops.minus(ops.oplus(x, y), ops.oplus(x2, y2)))
-            rhs = max(ops.r_norm(ops.minus(x, x2)), ops.r_norm(ops.minus(y, y2)))
-            tally.check(lhs <= rhs, f"{label}: ultrametric", x, y, x2, y2)
-            tally.check(
-                ops.r_norm(x) == max(ops.r_norm(ops.pos_part(x)),
-                                     ops.r_norm(ops.neg_part(x))),
-                f"{label}: spectral split", x)
-            # order monotonicity on the constructed pair x <= x oplus y
-            big = ops.oplus(x, y)
+            tally.law(model, ops, "subadditivity", x, y)
+            tally.law(model, ops, "homogeneity", q, x)
+            tally.law(model, ops, "ultrametric", x, y, x2, y2)
+            tally.law(model, ops, "spectral split", x)
             t = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-            tally.check(
-                ops.leq(ops.plus(x, y2), ops.plus(big, y2))
-                and ops.leq(ops.oplus(x, y2), ops.oplus(big, y2))
-                and ops.leq(ops.scale(t, x), ops.scale(t, big)),
-                f"{label}: order monotonicity", x, y)
-            pos = ops.pos_part(x)
-            t2 = t + Fraction(rng.randint(0, 4), 2)
-            tally.check(ops.leq(ops.scale(t, pos), ops.scale(t2, pos)),
-                        f"{label}: scaling monotonicity", t, t2, x)
+            tally.law(model, ops, "order monotonicity", x, y, y2, t)
+            dt = Fraction(rng.randint(0, 4), 2)
+            tally.law(model, ops, "scaling monotonicity", t, dt, x)
     return tally.report()
 
 

@@ -9,7 +9,8 @@ absorbing unit E pins down the spectral norm ``r_norm`` (the least
 
 The derived operations below (order, decomposition, tropical min, the
 n-th power identity) are written once against the primitive hooks and
-shared by the scalar, piecewise-affine and convex models.
+shared by the scalar, piecewise-affine and convex models.  ``LAWS`` states
+the laws of the contract once, as predicates on an instance.
 """
 
 from __future__ import annotations
@@ -152,3 +153,64 @@ class ScalarTrop(CharOneSemifield):
 
 
 SCALAR = ScalarTrop()
+
+
+# -- the laws every instance satisfies ---------------------------------------------
+#
+# Each law is a predicate law(ops, *args) on one instance's operation table.
+# Arguments follow one naming convention: x y z x2 y2 are elements, n is a
+# natural >= 1, q a rational, t > 0 and dt >= 0 rationals.  The semifield,
+# decomposition and norm suites of ``char1.laws`` check every law on every
+# model; the hypothesis tests check them on the scalars.
+
+
+def _decomposition(ops, x) -> bool:
+    pos, neg = ops.decompose(x)
+    return ops.eq(ops.minus(pos, neg), x) and ops.leq(ops.zero, pos) and ops.leq(ops.zero, neg)
+
+
+def _order_monotonicity(ops, x, y, y2, t) -> bool:
+    big = ops.oplus(x, y)  # x <= big
+    return (ops.leq(ops.plus(x, y2), ops.plus(big, y2))
+            and ops.leq(ops.oplus(x, y2), ops.oplus(big, y2))
+            and ops.leq(ops.scale(t, x), ops.scale(t, big)))
+
+
+def _scaling_monotonicity(ops, t, dt, x) -> bool:
+    pos = ops.pos_part(x)
+    return ops.leq(ops.scale(t, pos), ops.scale(t + dt, pos))
+
+
+LAWS = {
+    # ⊕ is commutative, associative and idempotent, + is an abelian group
+    # law, and + distributes over ⊕
+    "semifield law": lambda ops, x, y, z: (
+        ops.eq(ops.oplus(x, y), ops.oplus(y, x))
+        and ops.eq(ops.oplus(ops.oplus(x, y), z), ops.oplus(x, ops.oplus(y, z)))
+        and ops.eq(ops.oplus(x, x), x)
+        and ops.eq(ops.plus(x, y), ops.plus(y, x))
+        and ops.eq(ops.plus(ops.plus(x, y), z), ops.plus(x, ops.plus(y, z)))
+        and ops.eq(ops.plus(x, ops.zero), x)
+        and ops.eq(ops.plus(x, ops.neg(x)), ops.zero)
+        and ops.eq(ops.plus(x, ops.oplus(y, z)), ops.oplus(ops.plus(x, y), ops.plus(x, z)))),
+    # characteristic 1: n(x ⊕ y) is the ⊕-fold of kx + (n-k)y, k = 0..n
+    "power identity": lambda ops, n, x, y: ops.power_identity_check(n, x, y),
+    # perfect: multiplication by n is a bijection
+    "perfectness": lambda ops, n, x: (ops.eq(ops.div_by_nat(n, ops.nat_mul(n, x)), x)
+                                      and ops.eq(ops.nat_mul(n, ops.div_by_nat(n, x)), x)),
+    "decomposition": _decomposition,
+    "sum = max + min": lambda ops, x, y: ops.eq(
+        ops.plus(x, y), ops.plus(ops.oplus(x, y), ops.tropical_min(x, y))),
+    "r(E) = 1": lambda ops: ops.r_norm(ops.unit) == 1,
+    "r(0) = 0": lambda ops: ops.r_norm(ops.zero) == 0,
+    "subadditivity": lambda ops, x, y: (
+        ops.r_norm(ops.plus(x, y)) <= ops.r_norm(x) + ops.r_norm(y)),
+    "homogeneity": lambda ops, q, x: ops.r_norm(ops.scale(q, x)) == abs(q) * ops.r_norm(x),
+    "ultrametric": lambda ops, x, y, x2, y2: (
+        ops.r_norm(ops.minus(ops.oplus(x, y), ops.oplus(x2, y2)))
+        <= max(ops.r_norm(ops.minus(x, x2)), ops.r_norm(ops.minus(y, y2)))),
+    "spectral split": lambda ops, x: (
+        ops.r_norm(x) == max(ops.r_norm(ops.pos_part(x)), ops.r_norm(ops.neg_part(x)))),
+    "order monotonicity": _order_monotonicity,
+    "scaling monotonicity": _scaling_monotonicity,
+}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from char1 import cli
 from char1.cli import main
 from char1.congruence import ClosedSet
 from char1.convex import FracBody, Polygon, random_polygon
@@ -78,6 +79,12 @@ def test_paf_plot_includes_breakpoints(tmp_path):
     assert code == 0 and "1/2,1/2" in out.splitlines()
     code, out = run_cli(tmp_path, "paf-plot", payload, "--samples", "2")
     assert code == 0 and "1/2,1/2" in out.splitlines()
+
+
+def test_paf_plot_rejects_samples_over_the_bound(tmp_path):
+    code, out = run_cli(tmp_path, "paf-plot", {"f": LINE}, "--samples",
+                        str(cli.MAX_PLOT_SAMPLES + 1))
+    assert code == 2 and out == ""
 
 
 def test_paf_plot_rejects_single_sample(tmp_path):
@@ -275,6 +282,42 @@ def test_pairs_must_be_lists_of_two(tmp_path, capsys, verb, payload):
     assert code == 1 and out == ""
     assert err.startswith("char1: schema violation:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", sorted(cli._VERBS))
+def test_missing_field_is_a_schema_violation(tmp_path, capsys, verb):
+    code, out = run_cli(tmp_path, verb, {})
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("char1: schema violation: missing field ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_missing_input_file(tmp_path, capsys):
+    code = main(["paf-norm", "--input", str(tmp_path / "absent.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("char1: cannot read ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unwritable_output(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"f": LINE}), encoding="utf-8")
+    out = tmp_path / "absent-dir" / "out"
+    code = main(["paf-norm", "--input", str(inp), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("char1: cannot write ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_utf8_input(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    inp.write_bytes(b'{"t": "\xff"}')
+    code = main(["paf-eval", "--input", str(inp)])
+    err = capsys.readouterr().err
+    assert code == 1 and err == "char1: schema violation: input is not UTF-8 text\n"
 
 
 def test_precondition_violations_exit_2(tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from char1.errors import PreconditionError
-from char1.semifield import SCALAR, CharOneSemifield
+from char1.laws import run_norm_suite
+from char1.semifield import LAWS, SCALAR, CharOneSemifield
 
 rationals = st.fractions(max_denominator=32, min_value=-50, max_value=50)
 
@@ -65,32 +67,35 @@ def test_div_by_nat_validates():
         SCALAR.div_by_nat(0, F(1))
 
 
-@given(rationals, rationals, rationals)
-def test_scalar_laws(x, y, z):
-    assert SCALAR.oplus(x, y) == SCALAR.oplus(y, x)
-    assert SCALAR.oplus(SCALAR.oplus(x, y), z) == SCALAR.oplus(x, SCALAR.oplus(y, z))
-    assert SCALAR.oplus(x, x) == x
-    assert SCALAR.plus(x, SCALAR.oplus(y, z)) == \
-        SCALAR.oplus(SCALAR.plus(x, y), SCALAR.plus(x, z))
+# One strategy per argument name of the LAWS convention.
+ARGUMENTS = {
+    "x": rationals, "y": rationals, "z": rationals, "x2": rationals, "y2": rationals,
+    "n": st.integers(min_value=1, max_value=9),
+    "q": rationals,
+    "t": st.fractions(max_denominator=32, min_value=F(1, 32), max_value=50),
+    "dt": st.fractions(max_denominator=32, min_value=0, max_value=50),
+}
 
 
-@given(rationals, rationals, st.integers(min_value=1, max_value=5))
-def test_scalar_power_identity(x, y, n):
-    assert SCALAR.power_identity_check(n, x, y)
+@pytest.mark.parametrize("name", sorted(LAWS))
+@given(data=st.data())
+def test_law_on_scalars(name, data):
+    law = LAWS[name]
+    params = list(inspect.signature(law).parameters)[1:]  # after ops
+    args = [data.draw(ARGUMENTS[p], label=p) for p in params]
+    assert law(SCALAR, *args)
 
 
-@given(rationals, st.integers(min_value=1, max_value=9))
-def test_scalar_perfectness(x, n):
-    assert SCALAR.div_by_nat(n, SCALAR.nat_mul(n, x)) == x
+def test_counterexample_shows_every_argument(monkeypatch):
+    seen = []
 
+    def fails(ops, *args):
+        seen.append(args)
+        return False
 
-@given(rationals, rationals, rationals, rationals)
-def test_scalar_ultrametric(x, y, x2, y2):
-    lhs = SCALAR.r_norm(SCALAR.minus(SCALAR.oplus(x, y), SCALAR.oplus(x2, y2)))
-    assert lhs <= max(SCALAR.r_norm(x - x2), SCALAR.r_norm(y - y2))
-
-
-@given(rationals)
-def test_scalar_spectral_split(x):
-    assert SCALAR.r_norm(x) == max(SCALAR.r_norm(SCALAR.pos_part(x)),
-                                   SCALAR.r_norm(SCALAR.neg_part(x)))
+    monkeypatch.setitem(LAWS, "order monotonicity", fails)
+    report = run_norm_suite(seed=7, cases=3)
+    assert [len(args) for args in seen] == [4] * len(seen)  # x, y, y2, t
+    assert report.failed == len(seen) == 3 + 3 + 1
+    assert report.first_counterexample == (
+        "scalar: order monotonicity: " + ", ".join(map(repr, seen[0])))

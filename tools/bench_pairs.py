@@ -11,9 +11,11 @@ upward, one per pair.  Give ``--workload`` several times to measure several
 workloads, each with the same ``--pairs`` count.
 
 The output JSON holds, per workload and side, every run's end-to-end
-metrics with their medians and quartiles, the seeds, each run's speed scale
-and the number of pairs the change won on each metric (the direction of
-"better" is read from BENCHMARK.json).  Standard library only.
+metrics with their medians and quartiles, the seeds, each run's speed scale,
+the number of pairs the change won on each metric, and a verdict per
+metric against its BENCHMARK.json bound: "worse", "unresolved" or
+"within" (see ``verdict``).  The direction of "better" and the bounds are
+read from BENCHMARK.json.  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,8 +45,27 @@ def summary(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
+def verdict(base: list, change: list, better: str, bound: float) -> str:
+    """How the change's runs of one metric stand against the parent's.
+
+    "worse": the change median is worse than the parent median by more than
+    ``bound`` (a fraction of the parent median).  "unresolved": the parent's
+    IQR over its median exceeds ``bound`` and not every change run beats
+    every parent run, so the parent's own spread could hide such a loss.
+    "within" otherwise.
+    """
+    b, c = summary(base), summary(change)
+    sign = 1 if better == "higher" else -1
+    if sign * (b["median"] - c["median"]) > bound * abs(b["median"]):
+        return "worse"
+    beats_all = (min(change) > max(base)) if sign > 0 else (max(change) < min(base))
+    if b["iqr"] > bound * abs(b["median"]) and not beats_all:
+        return "unresolved"
+    return "within"
+
+
 def compare(base: str, change: str, workload: str, pairs: int, seconds: float,
-            first_seed: int, better: dict) -> dict:
+            first_seed: int, better: dict, bounds: dict) -> dict:
     runs = {"base": [], "change": []}
     seeds = list(range(first_seed, first_seed + pairs))
     for i, seed in enumerate(seeds):
@@ -68,6 +89,10 @@ def compare(base: str, change: str, workload: str, pairs: int, seconds: float,
         else:
             wins[m] = sum(c["metrics"][m] < b["metrics"][m] for b, c in pairs_m)
     out["change_wins"] = wins
+    out["verdict"] = {m: verdict([r["metrics"][m] for r in runs["base"]],
+                                 [r["metrics"][m] for r in runs["change"]],
+                                 direction, bounds[m])
+                      for m, direction in better.items()}
     out["median_ratio"] = {m: out["change"]["metrics"][m]["median"]
                            / out["base"]["metrics"][m]["median"]
                            for m in better if out["base"]["metrics"][m]["median"]}
@@ -88,12 +113,14 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     report = {"command": spec["command"], "seconds": spec["run_seconds"],
               "python": platform.python_version(), "nproc": os.cpu_count(),
               "workloads": {}}
     for name in args.workload:
         report["workloads"][name] = compare(args.base, args.change, name, args.pairs,
-                                            spec["run_seconds"], args.first_seed, better)
+                                            spec["run_seconds"], args.first_seed, better,
+                                            bounds)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
