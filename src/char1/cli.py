@@ -26,6 +26,7 @@ from .scalars import fmt_rat, parse_rat
 
 
 MAX_PLOT_SAMPLES = 10_000
+MAX_LAWS_CASES = 10_000  # ten times the largest default suite count
 
 
 def emit_plot(f: PAF, samples: int) -> str:
@@ -188,6 +189,10 @@ def main(argv=None) -> int:
         if not args.suite or args.suite not in SUITES:
             print(f"char1: laws-run needs a suite from {sorted(SUITES)}", file=sys.stderr)
             return 1
+        if args.cases is not None and not 1 <= args.cases <= MAX_LAWS_CASES:
+            print(f"char1: precondition violated: laws-run needs 1 to {MAX_LAWS_CASES} cases,"
+                  f" got {args.cases}", file=sys.stderr)
+            return 2
         report = run_suite(args.suite, seed=args.seed, cases=args.cases)
         return _write(args, json.dumps(report.to_json(), sort_keys=True) + "\n",
                       0 if report.ok else 1)

@@ -221,18 +221,19 @@ def cutoff(f: PAF, k: ClosedSet, slope=None) -> PAF:
     """A congruent-to-zero surrogate for f: agrees with f away from K1,
     vanishes on K1.
 
-    Built from clamps: min against a steep bump 0 on K1, applied to the
-    positive and negative parts separately.
+    f clamped pointwise into [-bump, bump], where the bump is 0 on K1,
+    rises with slope ``slope * big`` away from it and levels off at
+    big = max(1, r(f)), so f is kept wherever the bump has levelled off.
+    The slope must be nonnegative, so that the bump is.
     """
+    if slope is not None and slope < 0:
+        raise PreconditionError("cutoff slope must be nonnegative")
     if k.is_empty:
         return f
     big = max(Fraction(1), f.r_norm())
     steep = slope if slope is not None else _default_slope(f, k)
-    bump = PAF.constant(1, f.lo, f.hi).tropical_min(
-        dist_paf(k, f.lo, f.hi).scale(steep)).scale(big)
-    zero = PAF.constant(0, f.lo, f.hi)
-    pos, neg = f.oplus(zero), (-f).oplus(zero)
-    return pos.tropical_min(bump) - neg.tropical_min(bump)
+    bump = dist_paf(k, f.lo, f.hi).scale(steep * big).clamp(big)
+    return f.tropical_min(bump).oplus(-bump)
 
 
 def _default_slope(f: PAF, k: ClosedSet) -> Fraction:

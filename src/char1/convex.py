@@ -198,8 +198,12 @@ DEFAULT_UNIT = Polygon.square()
 
 def _int_pair(v) -> tuple[int, int, int]:
     """(x, y, m) with v = (x / m, y / m), all integers and m > 0."""
-    a, b = v  # ints or Fractions
-    return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+    a, b = v
+    try:
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    except AttributeError:
+        raise PreconditionError("coordinates must be ints or Fractions") from None
+    return an * bd, bn * ad, ad * bd
 
 
 def _rescale(a: Polygon, b: Polygon):
@@ -299,13 +303,7 @@ def normal_fan_rays(p: Polygon) -> list[tuple[int, int]]:
     the true ones; candidate directions where support-function ratios
     attain their extrema (a ratio of linears over a pointed cone is a
     mediant, so it is maximized on a ray)."""
-    iv = p._iverts
-    if len(iv) == 1:
-        return []
-    if len(iv) == 2:
-        (ax, ay), (bx, by) = iv
-        return [(by - ay, ax - bx), (ay - by, bx - ax)]
-    return [(qy - py, px - qx) for (px, py), (qx, qy) in zip(iv, iv[1:] + iv[:1])]
+    return [(dy, -dx) for dx, dy in _edges(p._iverts)]
 
 
 def facets(e: Polygon) -> list[tuple[tuple[int, int], int]]:

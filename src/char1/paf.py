@@ -170,22 +170,24 @@ class PAF:
                 i += 1
                 j += 1
 
-    def oplus(self, other: "PAF") -> "PAF":
-        """Pointwise max, with crossing points inserted exactly.
+    def _envelope(self, other: "PAF", sign: int) -> "PAF":
+        """The upper envelope of sign*self and sign*other, times sign: the
+        pointwise max for sign 1, the pointwise min for sign -1, with
+        crossing points inserted exactly.
 
-        Only the sign of D = self - other is needed at each grid point, and
-        D is continuous, so the sign at v read from the cell that ends
-        there is also the sign where the next cell starts: one integer
-        sign test per grid point (du, dv are D scaled by positive
+        Only the sign of D = sign*(self - other) is needed at each grid
+        point, and D is continuous, so the sign at v read from the cell
+        that ends there is also the sign where the next cell starts: one
+        integer sign test per grid point (du, dv are D scaled by positive
         integers), and a division only where D changes sign.
         """
         self._check_domain(other)
         ps, qs = self.pieces, other.pieces
         fs, gs = _integer_pieces(ps), _integer_pieces(qs)
         bps, pcs = [self.lo], []
-        du = _gap(fs[0], gs[0], self.lo)
+        du = sign * _gap(fs[0], gs[0], self.lo)
         for v, i, j in self._merged_cells(other):
-            dv = _gap(fs[i], gs[j], v)
+            dv = sign * _gap(fs[i], gs[j], v)
             if du >= 0 and dv >= 0:
                 _emit(bps, pcs, v, ps[i])
             elif du <= 0 and dv <= 0:
@@ -197,6 +199,10 @@ class PAF:
                 _emit(bps, pcs, v, second)
             du = dv
         return _unchecked(bps, pcs)
+
+    def oplus(self, other: "PAF") -> "PAF":
+        """Pointwise max, with crossing points inserted exactly."""
+        return self._envelope(other, 1)
 
     def __add__(self, other: "PAF") -> "PAF":
         self._check_domain(other)
@@ -222,7 +228,8 @@ class PAF:
         return _unchecked(self.breakpoints, [(q * a, q * b) for a, b in self.pieces])
 
     def tropical_min(self, other: "PAF") -> "PAF":
-        return -((-self).oplus(-other))
+        """Pointwise min, the dual of oplus, with crossing points inserted exactly."""
+        return self._envelope(other, -1)
 
     def abs(self) -> "PAF":
         return self.oplus(-self)
@@ -255,41 +262,12 @@ class PAF:
         return all(s <= t for s, t in zip(slopes, slopes[1:]))
 
     def clamp(self, c) -> "PAF":
-        """max(min(f, c), -c): the minimal-norm function agreeing with f on {|f| <= c}.
-
-        One walk over the cells: each breakpoint value is classed as above
-        c (1), below -c (-1) or between (0), and a cell whose ends differ
-        in class gets the level crossings strictly inside it.  On each
-        piece of a cell the clamp is c, -c or f, by the class of either
-        end that lies outside the band.
-        """
+        """max(min(f, c), -c): the minimal-norm function agreeing with f on {|f| <= c}."""
         c = _as_rat(c)
         if c < 0:
             raise PreconditionError("clamp bound must be nonnegative")
-        levels = (-c, c) if c else (c,)
-        band = {1: (Fraction(0), c), -1: (Fraction(0), -c)}
-
-        def side(value):
-            return 1 if value > c else -1 if value < levels[0] else 0
-
-        bps, pcs = [self.lo], []
-        a, b = self.pieces[0]
-        fu = a * self.lo + b
-        ku = side(fu)
-        for v, pc in zip(self.breakpoints[1:], self.pieces):
-            a, b = pc
-            fv = a * v + b
-            kv = side(fv)
-            cuts = [(v, kv)]
-            if ku != kv:  # f is monotone on the cell: meet the levels in order
-                crossed = [((t - b) / a, 0) for t in levels if min(fu, fv) < t < max(fu, fv)]
-                cuts[:0] = crossed if fu < fv else crossed[::-1]
-            k_prev = ku
-            for t, k in cuts:
-                _emit(bps, pcs, t, band.get(k_prev or k, pc))
-                k_prev = k
-            fu, ku = fv, kv
-        return _unchecked(bps, pcs)
+        cap = PAF.constant(c, self.lo, self.hi)
+        return self.tropical_min(cap).oplus(-cap)
 
     # -- reparametrization ---------------------------------------------------
 

@@ -16,7 +16,7 @@ device behind the rationally-defined subsheaf.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,15 +150,6 @@ class Quad:
 SQRT2 = Quad(Fraction(0), Fraction(1))
 _Q0 = Quad(Fraction(0))
 _Q1 = Quad(Fraction(1))
-
-
-def _quad_sorted(values) -> list[Quad]:
-    out = sorted(values, key=functools.cmp_to_key(lambda x, y: x._cmp(y)))
-    dedup: list[Quad] = []
-    for v in out:
-        if not dedup or dedup[-1] != v:
-            dedup.append(v)
-    return dedup
 
 
 def rational_between(u: Quad, v: Quad) -> Fraction:
@@ -349,7 +340,7 @@ class CirclePAF:
         constructor raises unless the data closes up around the circle.
         """
         pts = sorted(((Quad._coerce(t), Quad._coerce(k)) for t, k in kinks),
-                     key=functools.cmp_to_key(lambda x, y: x[0]._cmp(y[0])))
+                     key=lambda p: p[0])
         if not pts:
             return cls.constant(start_value)
         bps = [t for t, _ in pts]
@@ -364,11 +355,8 @@ class CirclePAF:
         return cls(tuple(bps), tuple(pieces))
 
     def _arc_index(self, t: Quad) -> int:
-        idx = len(self.breakpoints) - 1
-        for i, bp in enumerate(self.breakpoints):
-            if bp <= t:
-                idx = i
-        return idx
+        # the last arc starting at or before t; -1 (the last arc) if none does
+        return bisect.bisect_right(self.breakpoints, t) - 1
 
     def piece_at(self, t) -> tuple[Quad, Quad]:
         """The governing (slope, intercept) at canonical t, re-anchored so
@@ -530,11 +518,8 @@ class ArcSection:
         lifted = self._lift(t)
         if lifted is None:
             raise PreconditionError(f"{t} is outside the arc")
-        idx = 0
-        for i, bp in enumerate(self.breakpoints[:-1]):
-            if bp <= lifted:
-                idx = i
-        piece = self.pieces[idx]
+        starts = self.breakpoints[:len(self.pieces)]
+        piece = self.pieces[bisect.bisect_right(starts, lifted) - 1]
         return _shift_piece(piece, int((lifted - t).a))
 
 
@@ -551,7 +536,7 @@ def restrict_to_arc(s: CirclePAF, lo, hi) -> ArcSection:
             lifted = bp + k
             if lo < lifted < hi:
                 cuts.append(lifted)
-    cuts = _quad_sorted(cuts)
+    cuts = sorted(set(cuts))
     pcs = []
     for u, v in zip(cuts, cuts[1:]):
         mid = (u + v) / 2
@@ -574,7 +559,7 @@ def glue(sections) -> CirclePAF:
     for sec in sections:
         for t in sec.breakpoints:
             cuts.add(t - t.floor())
-    cuts = _quad_sorted(cuts)
+    cuts = sorted(cuts)
     bps, pcs = [], []
     for i, u in enumerate(cuts):
         v = cuts[(i + 1) % len(cuts)]

@@ -1,5 +1,5 @@
-"""The build kernel (PAF oplus, +, clamp and the Minkowski sum) against
-brute-force references.
+"""The build kernel (PAF oplus, tropical_min, +, clamp and the Minkowski
+sum) against brute-force references.
 
 The PAF references never call the operation under test: they evaluate the
 inputs pointwise on the merged breakpoint grid, refined by every point
@@ -70,6 +70,14 @@ def check_oplus(f, g):
     refined = ts + crossings(ts, lambda t: f.eval(t) - g.eval(t), 0)
     out = f.oplus(g)
     assert_matches(out, lambda t: max(f.eval(t), g.eval(t)), refined, f.lo, f.hi)
+    return out
+
+
+def check_tropical_min(f, g):
+    ts = merged_grid(f, g)
+    refined = ts + crossings(ts, lambda t: f.eval(t) - g.eval(t), 0)
+    out = f.tropical_min(g)
+    assert_matches(out, lambda t: min(f.eval(t), g.eval(t)), refined, f.lo, f.hi)
     return out
 
 
@@ -171,6 +179,41 @@ def test_fold_chain_past_400_bits():
         f = check_add(check_oplus(f, g), h).scale(q)
     assert max(max(abs(a.numerator).bit_length(), b.denominator.bit_length())
                for a, b in f.pieces) > 400
+
+
+# -- PAF tropical_min, the same walk with the sign flipped -------------------------------
+
+
+def test_min_touching_and_crossing_at_a_breakpoint():
+    zero = PAF.constant(0)
+    assert check_tropical_min(HAT, zero) == zero  # HAT touches 0 at its kink
+    assert check_tropical_min(-HAT, zero) == -HAT
+    f = PAF.identity().oplus(PAF.constant(F(1, 2)))  # equal on a whole cell
+    assert check_tropical_min(f, PAF.identity()) == PAF.identity()
+    assert check_tropical_min(PAF.identity(), f) == PAF.identity()
+    g = PAF.from_samples([(0, 1), (F(1, 2), F(1, 2)), (1, F(1, 4))])
+    out = check_tropical_min(PAF.identity(), g)
+    assert out.breakpoints == (F(0), F(1, 2), F(1))
+    assert out.pieces == ((F(1), F(0)), g.pieces[1])
+
+
+def test_min_identical_and_opposite_inputs():
+    rng = random.Random(11)
+    for _ in range(40):
+        f = random_paf(rng, max_cuts=6)
+        assert check_tropical_min(f, f) == f
+        assert check_tropical_min(f, -f) == -f.abs()
+
+
+def test_min_random_and_at_512_breakpoints():
+    rng = random.Random(12)
+    for _ in range(150):
+        f = random_paf(rng, max_cuts=rng.randint(0, 8), value_lim=rng.choice([1, 2, 8]))
+        g = random_paf(rng, max_cuts=rng.randint(0, 8), value_lim=rng.choice([1, 2, 8]))
+        check_tropical_min(f, g)
+    rng = random.Random(13)
+    f, g = grid_paf(rng, 512), grid_paf(rng, 512)
+    assert len(check_tropical_min(f, g).breakpoints) > 512
 
 
 # -- PAF clamp ---------------------------------------------------------------------------

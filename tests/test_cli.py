@@ -9,6 +9,7 @@ from char1 import cli
 from char1.cli import main
 from char1.congruence import ClosedSet
 from char1.convex import FracBody, Polygon, random_polygon
+from char1.laws import SUITES, SuiteReport
 from char1.paf import PAF, random_paf
 from char1.valuation import CirclePAF
 
@@ -221,6 +222,27 @@ def test_laws_run_case_counts(tmp_path, suite):
     assert code == 0 and got["suite"] == suite
     assert got["cases"] == got["passed"] == LAWS_RUN_COUNTS[suite]
     assert got["failed"] == 0
+
+
+@pytest.mark.parametrize("cases", [0, cli.MAX_LAWS_CASES + 1])
+def test_laws_run_rejects_cases_out_of_bounds(tmp_path, capsys, cases):
+    code, out = run_cli(tmp_path, "laws-run", None, "semifield", "--cases", str(cases))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"char1: precondition violated: laws-run needs 1 to 10000 cases, got {cases}\n")
+
+
+def test_laws_run_accepts_the_largest_case_count(tmp_path, monkeypatch):
+    seen = []
+
+    def tiny_suite(seed=0, cases=1):
+        seen.append(cases)
+        return SuiteReport("tiny", cases, 0, None)
+
+    monkeypatch.setitem(SUITES, "tiny", tiny_suite)
+    code, out = run_cli(tmp_path, "laws-run", None, "tiny", "--cases", "10000")
+    assert code == 0 and seen == [10000]
+    assert json.loads(out)["cases"] == 10000
 
 
 def test_laws_run_unknown_suite(tmp_path):

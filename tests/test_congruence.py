@@ -108,6 +108,21 @@ def test_cutoff_vanishes_and_agrees_far_away():
         assert class_of_zero_contains(RestrictionCongruence(k), h)
 
 
+def test_cutoff_keeps_f_where_the_bump_has_levelled_off():
+    rng = random.Random(8)
+    for _ in range(60):
+        k, f = random_closed_set(rng), random_paf(rng)
+        if k.is_empty:
+            continue
+        steep = F(rng.randint(1, 12), rng.randint(1, 3))
+        h, d = cutoff(f, k, slope=steep), dist_paf(k, f.lo, f.hi)
+        for t in set(f.breakpoints) | set(h.breakpoints) | set(d.breakpoints):
+            if steep * d.eval(t) >= 1:
+                assert h.eval(t) == f.eval(t), t
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        cutoff(PAF.constant(1), ClosedSet.point(0), slope=-1)
+
+
 def test_dist_paf():
     k = ClosedSet.of((F(1, 4), F(1, 2)))
     d = dist_paf(k, 0, 1)

@@ -126,6 +126,16 @@ def test_direction_canonicalization():
         Direction(0, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Polygon.square().support((0.5, 1)),
+    lambda: Direction(0.5, 1),
+    lambda: Polygon.square().contains(("1", 0)),
+], ids=["support-float", "direction-float", "contains-str"])
+def test_non_rational_coordinates_are_a_precondition_error(call):
+    with pytest.raises(PreconditionError, match="coordinates must be ints or Fractions"):
+        call()
+
+
 def test_frac_equal_cancellation():
     c = TRI
     x = FracBody.of(SQUARE01)
