@@ -108,32 +108,18 @@ class RestrictionCongruence:
         return self.k.is_empty
 
 
-def _check_ambient(r: RestrictionCongruence, f: PAF):
-    if not r.k.within(f.lo, f.hi):
-        raise PreconditionError("congruence set leaves the function's domain")
-
-
 def related(r: RestrictionCongruence, f: PAF, g: PAF) -> bool:
     """Does f agree with g on the restriction set?
 
-    The difference is affine between its breakpoints, so vanishing at the
-    interval endpoints and at every interior breakpoint is equivalent to
-    vanishing identically on the interval.
+    pi(f) = pi(g) in the quotient exactly when the class of f - g has norm
+    0, so the relation is the zero set of the quotient norm.  The trivial
+    congruence relates everything, on any domains.
     """
-    if r.is_trivial:
-        return True
-    _check_ambient(r, f)
-    h = f - g
-    for a, b in r.k.intervals:
-        if h.eval(a) != 0 or h.eval(b) != 0:
-            return False
-        if any(h.eval(t) != 0 for t in h.breakpoints if a < t < b):
-            return False
-    return True
+    return r.is_trivial or quotient_norm(f - g, r.k) == 0
 
 
 def class_of_zero_contains(r: RestrictionCongruence, f: PAF) -> bool:
-    return related(r, f, PAF.constant(0, f.lo, f.hi))
+    return r.is_trivial or quotient_norm(f, r.k) == 0
 
 
 def sandwich(r: RestrictionCongruence, a: PAF, b: PAF, c: PAF) -> bool:
@@ -180,9 +166,21 @@ def meet(r1: RestrictionCongruence, r2: RestrictionCongruence) -> RestrictionCon
 
 
 def zariski_laws(r1: RestrictionCongruence, r2: RestrictionCongruence) -> bool:
-    """V(r) = r.k turns meet into union and join into intersection, exactly."""
-    return (meet(r1, r2).k == r1.k.union(r2.k)
-            and join(r1, r2).k == r1.k.intersect(r2.k))
+    """V(r) = r.k turns meet into union and join into intersection, exactly.
+
+    Checked pointwise with ``contains``: every set involved is a union of
+    closed intervals ending at one of the collected ends, so membership is
+    constant between two consecutive ends, and probing each end and each
+    midpoint decides both equalities.
+    """
+    k1, k2, km, kj = r1.k, r2.k, meet(r1, r2).k, join(r1, r2).k
+    ends = sorted({t for k in (k1, k2, km, kj) for iv in k.intervals for t in iv})
+    probes = ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]
+    for t in probes:
+        in1, in2 = k1.contains(t), k2.contains(t)
+        if km.contains(t) != (in1 or in2) or kj.contains(t) != (in1 and in2):
+            return False
+    return True
 
 
 # -- quotient order and decomposition witnesses ---------------------------------
@@ -231,12 +229,12 @@ def cutoff(f: PAF, k: ClosedSet, slope=None) -> PAF:
     if k.is_empty:
         return f
     big = max(Fraction(1), f.r_norm())
-    steep = slope if slope is not None else _default_slope(f, k)
+    steep = slope if slope is not None else _default_slope(f)
     bump = dist_paf(k, f.lo, f.hi).scale(steep * big).clamp(big)
     return f.tropical_min(bump).oplus(-bump)
 
 
-def _default_slope(f: PAF, k: ClosedSet) -> Fraction:
+def _default_slope(f: PAF) -> Fraction:
     lip = max(abs(a) for a, _ in f.pieces)
     big = max(Fraction(1), f.r_norm())
     return max(Fraction(1), lip / big)
@@ -251,11 +249,11 @@ def split_vanishing(f: PAF, r1: RestrictionCongruence,
     (where f vanishes, so a Lipschitz bound controls the ramp) or sit at a
     positive gap.
     """
-    if not related(join(r1, r2), f, PAF.constant(0, f.lo, f.hi)):
+    if not class_of_zero_contains(join(r1, r2), f):
         raise PreconditionError("function must vanish on the intersection")
     if r1.is_trivial:
         return f, PAF.constant(0, f.lo, f.hi)
-    steep = _default_slope(f, r1.k)
+    steep = _default_slope(f)
     gap = _min_gap(r1.k, r2.k)
     if gap is not None and gap > 0:
         steep = max(steep, Fraction(1) / gap)

@@ -198,11 +198,11 @@ DEFAULT_UNIT = Polygon.square()
 
 def _int_pair(v) -> tuple[int, int, int]:
     """(x, y, m) with v = (x / m, y / m), all integers and m > 0."""
-    a, b = v
     try:
+        a, b = v
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    except AttributeError:
-        raise PreconditionError("coordinates must be ints or Fractions") from None
+    except (AttributeError, TypeError, ValueError):
+        raise PreconditionError("a point must be a pair of ints or Fractions") from None
     return an * bd, bn * ad, ad * bd
 
 

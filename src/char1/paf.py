@@ -127,21 +127,6 @@ class PAF:
     def max_value(self) -> Fraction:
         return max(v for _, v in self.breakpoint_values())
 
-    def left_slope(self, x) -> Fraction:
-        """Slope just left of x; x must be > lo."""
-        x = _as_rat(x)
-        if not self.lo < x <= self.hi:
-            raise PreconditionError(f"no left slope at {x}")
-        i = bisect.bisect_left(self.breakpoints, x) - 1
-        return self.pieces[max(i, 0)][0]
-
-    def right_slope(self, x) -> Fraction:
-        """Slope just right of x; x must be < hi."""
-        x = _as_rat(x)
-        if not self.lo <= x < self.hi:
-            raise PreconditionError(f"no right slope at {x}")
-        return self.pieces[self._cell_index(x)][0]
-
     # -- semifield arithmetic ------------------------------------------------
 
     def _check_domain(self, other: "PAF"):
@@ -272,14 +257,12 @@ class PAF:
     # -- reparametrization ---------------------------------------------------
 
     def restrict(self, a, b) -> "PAF":
-        """The same function on the subinterval [a, b]."""
+        """The same function on the subinterval [a, b]: the pullback by the
+        identity."""
         a, b = _as_rat(a), _as_rat(b)
         if not (self.lo <= a < b <= self.hi):
             raise PreconditionError(f"[{a}, {b}] is not a subinterval of the domain")
-        inner = [t for t in self.breakpoints if a < t < b]
-        bps = [a] + inner + [b]
-        pcs = [self.pieces[self._cell_index(u)] for u in bps[:-1]]
-        return PAF(tuple(bps), tuple(pcs))
+        return self.compose_affine(1, 0, a, b)
 
     def compose_affine(self, alpha, beta, lo, hi) -> "PAF":
         """The pullback t -> f(alpha*t + beta) on [lo, hi]."""

@@ -172,7 +172,10 @@ def kink(f: PAF, x) -> Fraction:
     x = Fraction(x)
     if not f.lo < x < f.hi:
         raise PreconditionError("kinks are defined at interior points")
-    return f.right_slope(x) - f.left_slope(x)
+    i = bisect.bisect_left(f.breakpoints, x)
+    if f.breakpoints[i] != x:
+        return Fraction(0)
+    return f.pieces[i][0] - f.pieces[i - 1][0]
 
 
 def _shifted_valuation(f: PAF, x: Fraction) -> Fraction:
@@ -378,12 +381,8 @@ class CirclePAF:
                 for i, bp in enumerate(self.breakpoints)]
 
     def kink_at(self, x) -> Quad:
-        x = Quad._coerce(x)
-        x = x - x.floor()
-        for bp, k in self.kinks():
-            if bp == x:
-                return k
-        return _Q0
+        left, right = germ(self, x)
+        return right[0] - left[0]
 
     def is_constant(self) -> bool:
         return len(self.pieces) == 1 and self.pieces[0][0] == _Q0
@@ -583,11 +582,11 @@ def germ(s: CirclePAF, x) -> tuple[tuple[Quad, Quad], tuple[Quad, Quad]]:
     x = Quad._coerce(x)
     x = x - x.floor()
     right = s.piece_at(x)
-    for i, bp in enumerate(s.breakpoints):
-        if bp == x:
-            left = s.pieces[i - 1]
-            return (_shift_piece(left, 1) if i == 0 else left), right
-    return right, right
+    i = s._arc_index(x)
+    if i < 0 or s.breakpoints[i] != x:
+        return right, right
+    left = s.pieces[i - 1]
+    return (_shift_piece(left, 1) if i == 0 else left), right
 
 
 def k_defined_check(s0, left, right) -> bool:

@@ -90,6 +90,15 @@ def test_trivial_congruence_relates_everything():
     r = RestrictionCongruence(ClosedSet.empty())
     assert r.is_trivial
     assert related(r, PAF.identity(), PAF.constant(9))
+    assert related(r, PAF.identity(), PAF.constant(9, 0, 2))  # even across domains
+
+
+def test_related_rejects_a_set_leaving_the_domain():
+    r = RestrictionCongruence(ClosedSet.of((F(1, 2), 2)))
+    with pytest.raises(PreconditionError, match="restriction set leaves"):
+        related(r, PAF.identity(), ZERO)
+    with pytest.raises(PreconditionError, match="restriction set leaves"):
+        class_of_zero_contains(r, PAF.identity())
 
 
 def test_sandwich_examples():
@@ -205,6 +214,19 @@ def test_zariski_examples():
         r1 = RestrictionCongruence(random_closed_set(rng))
         r2 = RestrictionCongruence(random_closed_set(rng))
         assert zariski_laws(r1, r2)
+
+
+@pytest.mark.parametrize("target, wrong", [
+    ("char1.congruence.meet", lambda a, b: RestrictionCongruence(a.k.intersect(b.k))),
+    # meet is built on union, so only a membership oracle sees a wrong union
+    ("char1.congruence.ClosedSet.union", lambda self, other: self.intersect(other)),
+], ids=["meet", "union"])
+def test_zariski_laws_catch_a_wrong_meet(monkeypatch, target, wrong):
+    r1 = RestrictionCongruence(ClosedSet.of((0, F(1, 2))))
+    r2 = RestrictionCongruence(ClosedSet.of((F(1, 4), 1)))
+    assert zariski_laws(r1, r2)
+    monkeypatch.setattr(target, wrong)
+    assert not zariski_laws(r1, r2)
 
 
 def test_zariski_laws_on_triples():

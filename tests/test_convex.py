@@ -130,9 +130,11 @@ def test_direction_canonicalization():
     lambda: Polygon.square().support((0.5, 1)),
     lambda: Direction(0.5, 1),
     lambda: Polygon.square().contains(("1", 0)),
-], ids=["support-float", "direction-float", "contains-str"])
+    lambda: Polygon.square().support((1, 2, 3)),
+    lambda: Polygon.square().contains(5),
+], ids=["support-float", "direction-float", "contains-str", "support-triple", "contains-int"])
 def test_non_rational_coordinates_are_a_precondition_error(call):
-    with pytest.raises(PreconditionError, match="coordinates must be ints or Fractions"):
+    with pytest.raises(PreconditionError, match="a point must be a pair of ints or Fractions"):
         call()
 
 

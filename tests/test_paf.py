@@ -179,6 +179,20 @@ def test_restrict_and_compose_affine():
         HAT.compose_affine(2, 0, 0, 1)
 
 
+def test_restrict_agrees_at_its_ends_and_breakpoints():
+    rng = random.Random(37)
+    for _ in range(60):
+        f = random_paf(rng, max_cuts=8)
+        a, b = sorted(rng.sample([F(i, 12) for i in range(13)], 2))
+        g = f.restrict(a, b)
+        assert g.domain == (a, b)
+        for t in [a, b] + [t for t in f.breakpoints if a < t < b]:
+            assert g(t) == f(t)
+    for a, b in [(F(1, 2), F(1, 2)), (F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))]:
+        with pytest.raises(PreconditionError, match="is not a subinterval of the domain"):
+            HAT.restrict(a, b)
+
+
 def test_convex_split():
     rng = random.Random(31)
     for _ in range(60):

@@ -99,6 +99,22 @@ def test_kink_difference_quotient_oracle():
     assert (HAT.eval(F(1, 2) - h) + HAT.eval(F(1, 2) + h)) / h == kink(HAT, F(1, 2))
 
 
+def test_kink_is_the_slope_jump_on_random_pafs():
+    # h is half the distance to the nearer neighbour, so each one-sided
+    # difference quotient is exactly the slope of the cell it falls in
+    rng = random.Random(89)
+    for n in (3, 4, 16, 128):
+        for _ in range(6):
+            ts = [F(0)] + [F(c, 1000) for c in sorted(rng.sample(range(1, 1000), n - 2))] + [F(1)]
+            f = PAF.from_samples([(t, F(rng.randint(-8, 8), rng.randint(1, 4))) for t in ts])
+            bps = f.breakpoints
+            for u, v in zip(bps, bps[1:]):
+                assert kink(f, (u + v) / 2) == 0
+            for u, x, v in zip(bps, bps[1:], bps[2:]):
+                h = min(x - u, v - x) / 2
+                assert kink(f, x) == (f(x + h) - 2 * f(x) + f(x - h)) / h
+
+
 def test_valuation_at_examples():
     f = HAT - PAF.constant(HAT.eval(F(0)))
     assert valuation_at(F(0), f) == 0
@@ -365,4 +381,6 @@ def test_germ_kinks_everywhere():
         done += 1
         for bp, k in s.kinks():
             left, right = germ(s, bp)
-            assert right[0] - left[0] == k
+            assert right[0] - left[0] == k and s.kink_at(bp) == k
+        off = F(1, 20) + F(rng.randint(0, 9), 10)  # never on the tenths grid
+        assert germ(s, off)[0] == germ(s, off)[1] and s.kink_at(off) == 0
