@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import fmt_rat, parse_rat
+from .scalars import fmt_rat, parse_list, parse_rat
 
 
 # -- the quadratic field Q(sqrt 2) ----------------------------------------------
@@ -221,21 +221,17 @@ def is_local_unit(f: PAF, x) -> bool:
 def smooth_neighborhood(f: PAF, x0) -> tuple[Fraction, Fraction]:
     """The explicit open interval around x0 on which f has no kink.
 
-    Requires kink(f, x0) = 0 (endpoints count as kink-free); the interval
-    runs between the nearest genuinely kinked breakpoints.
+    Requires kink(f, x0) = 0 (endpoints count as kink-free).  Canonical
+    form gives every interior breakpoint a nonzero kink, so the interval
+    is the cell of x0.
     """
     x0 = Fraction(x0)
+    if not f.lo <= x0 <= f.hi:
+        raise PreconditionError(f"{x0} outside domain [{f.lo}, {f.hi}]")
     if f.lo < x0 < f.hi and kink(f, x0) != 0:
         raise PreconditionError("the function kinks at the point itself")
-    lo, hi = f.lo, f.hi
-    for t in f.breakpoints[1:-1]:
-        if kink(f, t) == 0:
-            continue
-        if t <= x0:
-            lo = max(lo, t)
-        if t >= x0:
-            hi = min(hi, t)
-    return lo, hi
+    i = f._cell_index(x0)
+    return f.breakpoints[i], f.breakpoints[i + 1]
 
 
 def local_morphism_check(alpha, beta, x_src, x_dst, elements=None,
@@ -283,6 +279,20 @@ def _shift_piece(piece: tuple[Quad, Quad], k: int) -> tuple[Quad, Quad]:
     """Re-anchor a piece from lifted coordinates t+k to t."""
     a, b = piece
     return (a, a * k + b)
+
+
+def _lookup(bps, pcs, t: Quad) -> tuple[Quad, tuple[Quad, Quad]]:
+    """Place the circle point t in piecewise data: its lift into
+    [bps[0], bps[0] + 1) and the piece governing it there, re-anchored at t.
+
+    A circle section has one piece per breakpoint, its last arc wrapping
+    to bps[0] + 1; an arc has one breakpoint more than pieces and covers t
+    exactly when the lift is at most its last breakpoint.
+    """
+    k = (t - bps[0]).floor()
+    lifted = t - k
+    i = bisect.bisect_right(bps, lifted, 0, len(pcs)) - 1
+    return lifted, _shift_piece(pcs[i], -k)
 
 
 @dataclass(frozen=True)
@@ -357,22 +367,13 @@ class CirclePAF:
             pieces.append((slope, value - slope * t))
         return cls(tuple(bps), tuple(pieces))
 
-    def _arc_index(self, t: Quad) -> int:
-        # the last arc starting at or before t; -1 (the last arc) if none does
-        return bisect.bisect_right(self.breakpoints, t) - 1
-
     def piece_at(self, t) -> tuple[Quad, Quad]:
-        """The governing (slope, intercept) at canonical t, re-anchored so
-        that evaluation at t itself is a*t + b."""
-        t = Quad._coerce(t)
-        t = t - t.floor()
-        if t < self.breakpoints[0]:
-            return _shift_piece(self.pieces[-1], 1)
-        return self.pieces[self._arc_index(t)]
+        """The governing (slope, intercept) at t, in t's own coordinates:
+        evaluation at t itself is a*t + b, for any lift t of the point."""
+        return _lookup(self.breakpoints, self.pieces, Quad._coerce(t))[1]
 
     def eval(self, t) -> Quad:
         t = Quad._coerce(t)
-        t = t - t.floor()
         return _piece_value(self.piece_at(t), t)
 
     def kinks(self) -> list[tuple[Quad, Quad]]:
@@ -401,9 +402,10 @@ class CirclePAF:
         if not isinstance(data, (dict, list)) or not data.get("cyclic"):
             raise SchemaError('circle sections carry "cyclic": true')
         try:
-            bps = tuple(Quad.from_json(t) for t in data["breakpoints"])
+            bps = tuple(Quad.from_json(t)
+                        for t in parse_list(data["breakpoints"], "breakpoints"))
             pcs = tuple((Quad.from_json(p["a"]), Quad.from_json(p["b"]))
-                        for p in data["pieces"])
+                        for p in parse_list(data["pieces"], "pieces"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad circle section: {exc}") from None
         try:
@@ -501,25 +503,13 @@ class ArcSection:
     def hi(self) -> Quad:
         return self.breakpoints[-1]
 
-    def _lift(self, t: Quad) -> Quad | None:
-        for k in (0, 1, -1):
-            lifted = t + k
-            if self.lo <= lifted <= self.hi:
-                return lifted
-        return None
-
-    def covers(self, t) -> bool:
-        return self._lift(Quad._coerce(t)) is not None
-
     def piece_at(self, t) -> tuple[Quad, Quad]:
-        """(slope, intercept) in canonical coordinates at circle point t."""
+        """(slope, intercept) at circle point t, in t's own coordinates."""
         t = Quad._coerce(t)
-        lifted = self._lift(t)
-        if lifted is None:
+        lifted, piece = _lookup(self.breakpoints, self.pieces, t)
+        if lifted > self.hi:
             raise PreconditionError(f"{t} is outside the arc")
-        starts = self.breakpoints[:len(self.pieces)]
-        piece = self.pieces[bisect.bisect_right(starts, lifted) - 1]
-        return _shift_piece(piece, int((lifted - t).a))
+        return piece
 
 
 def restrict_to_arc(s: CirclePAF, lo, hi) -> ArcSection:
@@ -536,13 +526,8 @@ def restrict_to_arc(s: CirclePAF, lo, hi) -> ArcSection:
             if lo < lifted < hi:
                 cuts.append(lifted)
     cuts = sorted(set(cuts))
-    pcs = []
-    for u, v in zip(cuts, cuts[1:]):
-        mid = (u + v) / 2
-        canonical = mid - mid.floor()
-        a, b = s.piece_at(canonical)
-        pcs.append(_shift_piece((a, b), -mid.floor()))
-    return ArcSection(tuple(cuts), tuple(pcs))
+    # each cell's piece starts at its left cut
+    return ArcSection(tuple(cuts), tuple(s.piece_at(u) for u in cuts[:-1]))
 
 
 def glue(sections) -> CirclePAF:
@@ -554,27 +539,21 @@ def glue(sections) -> CirclePAF:
     sections = list(sections)
     if not sections:
         raise PreconditionError("nothing to glue")
-    cuts = set()
-    for sec in sections:
-        for t in sec.breakpoints:
-            cuts.add(t - t.floor())
-    cuts = sorted(cuts)
-    bps, pcs = [], []
-    for i, u in enumerate(cuts):
-        v = cuts[(i + 1) % len(cuts)]
-        v_lift = v if u < v else v + 1
-        mid = (u + v_lift) / 2
-        canonical = mid - mid.floor()
-        covering = [sec for sec in sections if sec.covers(canonical)]
+    cuts = sorted({t - t.floor() for sec in sections for t in sec.breakpoints})
+    pcs = []
+    for u in cuts:
+        # every arc end is a cut, so an arc covering u covers the cell right of u
+        covering = []
+        for sec in sections:
+            lifted, piece = _lookup(sec.breakpoints, sec.pieces, u)
+            if lifted < sec.hi:
+                covering.append(piece)
         if not covering:
-            raise PreconditionError(f"the arcs do not cover the circle near {canonical}")
-        ref = covering[0].piece_at(canonical)
-        for other in covering[1:]:
-            if other.piece_at(canonical) != ref:
-                raise PreconditionError(f"sections disagree near {canonical}")
-        bps.append(u)
-        pcs.append(_shift_piece(ref, -mid.floor()))
-    return CirclePAF(tuple(bps), tuple(pcs))
+            raise PreconditionError(f"the arcs do not cover the circle near {u}")
+        if any(piece != covering[0] for piece in covering[1:]):
+            raise PreconditionError(f"sections disagree near {u}")
+        pcs.append(covering[0])
+    return CirclePAF(tuple(cuts), tuple(pcs))
 
 
 def germ(s: CirclePAF, x) -> tuple[tuple[Quad, Quad], tuple[Quad, Quad]]:
@@ -582,7 +561,7 @@ def germ(s: CirclePAF, x) -> tuple[tuple[Quad, Quad], tuple[Quad, Quad]]:
     x = Quad._coerce(x)
     x = x - x.floor()
     right = s.piece_at(x)
-    i = s._arc_index(x)
+    i = bisect.bisect_right(s.breakpoints, x) - 1
     if i < 0 or s.breakpoints[i] != x:
         return right, right
     left = s.pieces[i - 1]

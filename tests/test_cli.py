@@ -281,6 +281,20 @@ def test_circle_check_rejects_non_objects(tmp_path, capsys, section):
     assert err.startswith("char1: schema violation:") and err.count("\n") == 1
 
 
+CONSTANT_SECTION = {"cyclic": True, "breakpoints": ["0"], "pieces": [{"a": "0", "b": "3"}]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("breakpoints", "0"),
+    ("breakpoints", {"0": 1}),
+    ("pieces", {"a": "0", "b": "3"}),
+], ids=["breakpoints-string", "breakpoints-object", "pieces-object"])
+def test_circle_section_fields_must_be_lists(tmp_path, capsys, field, value):
+    code, out = run_cli(tmp_path, "val-circle-check", {"s": {**CONSTANT_SECTION, field: value}})
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"char1: schema violation: {field} must be a list\n"
+
+
 SQUARE01 = {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]}
 
 

@@ -1,0 +1,42 @@
+"""tools/output_digest.py: its digests repeat and move with the output."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from char1 import cli, laws
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("output_digest",
+                                               ROOT / "tools" / "output_digest.py")
+output_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_digest)
+
+RUNS = ((3, 4),)  # one seed, four cases
+
+
+def test_laws_digest_repeats_and_moves_with_a_suite(monkeypatch):
+    first = output_digest.laws_digest(["semifield"], RUNS)
+    assert output_digest.laws_digest(["semifield"], RUNS) == first
+    monkeypatch.setitem(laws.SUITES, "semifield", laws.SUITES["decomposition"])
+    assert output_digest.laws_digest(["semifield"], RUNS) != first
+
+
+@pytest.fixture
+def perfbench_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+
+
+def test_cli_digest_repeats_and_moves_with_a_verb(monkeypatch, perfbench_path):
+    first, requests, errors = output_digest.cli_digest(seeds=[1])
+    assert 0 < errors < requests
+    assert output_digest.cli_digest(seeds=[1]) == (first, requests, errors)
+    monkeypatch.setitem(cli._VERBS, "paf-norm", lambda p, args: {"r": "0"})
+    assert output_digest.cli_digest(seeds=[1])[0] != first
+
+
+def test_run_request_records_what_the_cli_prints():
+    code, out, err = output_digest.run_request("paf-norm", [], "[]")
+    assert (code, out) == (1, "")
+    assert err == "char1: schema violation: input must be a JSON object\n"

@@ -173,6 +173,36 @@ def test_smooth_neighborhood():
     f = HAT.oplus(PAF.constant(F(1, 4)))  # kinks at 1/4 and 3/4
     lo, hi = smooth_neighborhood(f, F(1, 2))
     assert (lo, hi) == (F(1, 4), F(3, 4))
+    for x0 in (F(-1, 2), F(3, 2)):
+        with pytest.raises(PreconditionError, match=f"{x0} outside domain"):
+            smooth_neighborhood(HAT, x0)
+
+
+def _smooth_neighborhood_by_scan(f, x0):
+    # the nearest kinked breakpoints on either side, found by a full scan
+    lo, hi = f.lo, f.hi
+    for t in f.breakpoints[1:-1]:
+        if kink(f, t) != 0:
+            if t <= x0:
+                lo = max(lo, t)
+            if t >= x0:
+                hi = min(hi, t)
+    return lo, hi
+
+
+def test_smooth_neighborhood_matches_a_kink_scan():
+    rng = random.Random(97)
+    for _ in range(150):
+        f = random_paf(rng, max_cuts=6)
+        bps = f.breakpoints
+        points = [f.lo, f.hi] + [(u + v) / 2 for u, v in zip(bps, bps[1:])]
+        points += [F(rng.randint(0, 60), 60) for _ in range(4)]
+        for x0 in points:
+            if f.lo < x0 < f.hi and kink(f, x0) != 0:
+                with pytest.raises(PreconditionError, match="kinks at the point"):
+                    smooth_neighborhood(f, x0)
+            else:
+                assert smooth_neighborhood(f, x0) == _smooth_neighborhood_by_scan(f, x0)
 
 
 def test_local_morphism_examples():
@@ -280,6 +310,67 @@ def test_circle_restrict_and_glue_roundtrip():
     assert glued == s
     for t in (F(0), F(1, 4), F(1, 2), F(7, 10), F(99, 100)):
         assert glued.eval(t) == s.eval(t)
+    touching = [restrict_to_arc(s, F(0), F(1, 2)), restrict_to_arc(s, F(1, 2), F(1))]
+    assert glue(touching) == s
+    assert glue([restrict_to_arc(s, F(0), F(1, 2)), restrict_to_arc(s, F(2, 5), F(9, 10)),
+                 restrict_to_arc(s, F(4, 5), F(13, 10))]) == s
+
+
+def _random_section(rng, irrational):
+    """A continuous circle section through random values at random
+    breakpoints; some breakpoints lie in Q(sqrt 2) when irrational."""
+    def point():
+        if irrational and rng.random() < 0.5:
+            x = Quad(F(rng.randint(-3, 3), rng.randint(1, 4)),
+                     F(rng.randint(1, 3), rng.randint(1, 3)))
+            return x - x.floor()
+        return Quad(F(rng.randint(0, 23), 24))
+    bps = sorted(set(point() for _ in range(rng.randint(2, 5))))
+    vals = [Quad(F(rng.randint(-4, 4), rng.randint(1, 3))) for _ in bps]
+    ends = list(zip(bps, vals))[1:] + [(bps[0] + 1, vals[0])]
+    pieces = []
+    for (t, v), (t2, v2) in zip(zip(bps, vals), ends):
+        a = (v2 - v) / (t2 - t)
+        pieces.append((a, v - a * t))
+    return CirclePAF(tuple(bps), tuple(pieces))
+
+
+def _value_by_scan(s, c):
+    # canonical c: the arc starting at or before c, or the wrapped last arc
+    bps = s.breakpoints
+    for i in reversed(range(len(bps))):
+        if bps[i] <= c:
+            a, b = s.pieces[i]
+            return a * c + b
+    a, b = s.pieces[-1]
+    return a * (c + 1) + b
+
+
+def test_circle_piece_at_any_lift():
+    rng = random.Random(103)
+    for n in range(60):
+        s = _random_section(rng, irrational=n % 2 == 0)
+        points = list(s.breakpoints) + [Quad(F(rng.randint(0, 47), 48)) for _ in range(3)]
+        for c in points:
+            for k in range(-2, 3):
+                a, b = s.piece_at(c + k)
+                assert a * (c + k) + b == _value_by_scan(s, c) == s.eval(c + k)
+        for i, bp in enumerate(s.breakpoints):
+            for k in range(-2, 3):
+                assert s.piece_at(bp + k)[0] == s.pieces[i][0]
+
+
+def test_arc_piece_at_ends_lifts_and_outside():
+    s = CirclePAF.from_kinks(F(0), F(-1), [(F(0), F(0)), (F(1, 3), F(1)), (F(2, 3), F(1))])
+    arc = restrict_to_arc(s, F(1, 2), F(11, 10))
+    assert arc.piece_at(arc.hi) == arc.pieces[-1]
+    for c in (F(1, 2), F(3, 4), F(0), F(1, 10)):
+        for k in (-5, 0, 5):
+            a, b = arc.piece_at(c + k)
+            assert a * (c + k) + b == _value_by_scan(s, Quad(c))
+    for t in (F(1, 5), F(2, 5), F(1, 5) + 7):
+        with pytest.raises(PreconditionError, match="outside the arc"):
+            arc.piece_at(t)
 
 
 def test_glue_requires_cover_and_agreement():
@@ -287,9 +378,13 @@ def test_glue_requires_cover_and_agreement():
     left = restrict_to_arc(s, F(0), F(1, 2))
     with pytest.raises(PreconditionError):
         glue([left])  # gap over (1/2, 1)
+    with pytest.raises(PreconditionError, match=r"do not cover the circle near Quad\(1/2, 0\)"):
+        glue([left, restrict_to_arc(s, F(3, 5), F(11, 10))])  # gap over (1/2, 3/5)
     other = restrict_to_arc(CirclePAF.constant(F(7)), F(1, 4), F(11, 10))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="sections disagree near"):
         glue([left, other])  # disagree on the overlap
+    with pytest.raises(PreconditionError, match="sections disagree near"):
+        glue([left, restrict_to_arc(s, F(2, 5), F(13, 10)), other])
 
 
 def test_germ_reads_both_sides():
