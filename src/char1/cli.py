@@ -140,7 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cases", type=int, default=None)
     parser.add_argument("--samples", type=int, default=17, help="paf-plot sample count")
     parser.add_argument("--euclidean", action="store_true",
-                        help="approximate euclidean-unit mode (floats, ~1e-9)")
+                        help="euclidean-unit mode: the correctly rounded largest vertex norm, "
+                        "as a float")
     return parser
 
 

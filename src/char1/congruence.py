@@ -13,8 +13,10 @@ the infimum of the norm over the class exactly.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
@@ -58,8 +60,9 @@ class ClosedSet:
         return not self.intervals
 
     def contains(self, t) -> bool:
-        t = Fraction(t)
-        return any(a <= t <= b for a, b in self.intervals)
+        t = t if t.__class__ is Fraction else Fraction(t)
+        i = bisect.bisect_right(self.intervals, t, key=itemgetter(0))
+        return i > 0 and t <= self.intervals[i - 1][1]
 
     def union(self, other: "ClosedSet") -> "ClosedSet":
         return ClosedSet(self.intervals + other.intervals)

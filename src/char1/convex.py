@@ -9,8 +9,8 @@ of support functions make it a semifield (``FracBody``).
 The unit body E is a caller-chosen full-dimensional polytope with the
 origin strictly interior (default: the square [-1,1]^2).  Its gauge plays
 the role the euclidean norm plays for the round unit ball; an optional
-float mode evaluates euclidean quantities approximately and is flagged as
-such wherever it appears.
+float mode gives the euclidean norm correctly rounded to a float and is
+flagged as approximate wherever it appears.
 """
 
 from __future__ import annotations
@@ -306,6 +306,16 @@ def normal_fan_rays(p: Polygon) -> list[tuple[int, int]]:
     return [(dy, -dx) for dx, dy in _edges(p._iverts)]
 
 
+def merged_fan(*bodies: Polygon) -> list[tuple[int, int]]:
+    """The bodies' normal-fan rays and the four axis rays as primitive
+    integer vectors, once each, sorted by angle as ``_not_after`` sorts
+    edges: cyclically consecutive rays are under a half-turn apart."""
+    rays = {(p // g, q // g) for body in bodies for p, q in normal_fan_rays(body)
+            for g in [math.gcd(p, q)]}
+    rays.update(((1, 0), (0, 1), (-1, 0), (0, -1)))
+    return sorted(rays, key=functools.cmp_to_key(lambda e, f: -1 if _not_after(e, f) else 1))
+
+
 def facets(e: Polygon) -> list[tuple[tuple[int, int], int]]:
     """Outward facet normals (n, c) of the integer surrogate: with d the
     common denominator of E's vertices, E = {x : <n, x> <= c / d}."""
@@ -349,27 +359,20 @@ def polar(e: Polygon) -> Polygon:
     return _unit(e)[1]
 
 
-@functools.cache
-def _circle() -> list:
-    """The 128 circle directions of r_norm_euclidean with their norms, built
-    on first use.  Made at import, these ~500 small objects land in allocator
-    pools beside the freed compile garbage and keep about 0.6 MiB resident."""
-    return [(dx, dy, math.hypot(dx, dy)) for k in range(128)
-            for dx, dy in [(math.cos(k * math.pi / 64), math.sin(k * math.pi / 64))]]
-
-
 def r_norm_euclidean(a: Polygon) -> float:
-    """Euclidean-unit norm, float mode: the support function evaluated over
-    candidate directions on the circle.  Approximate (~1e-12); flagged as
-    such in the CLI output."""
+    """Euclidean-unit norm, float mode: the largest vertex norm, correctly
+    rounded.  |v| * 2^k, past 55 bits, is floored in integers with a sticky
+    bit for inexactness and rounded once by an int/int division."""
+    n2 = max(x * x + y * y for x, y in a._iverts)
     den = a._den
-    verts = [(x / den, y / den) for x, y in a._iverts]
-    best = 0.0
-    for dx, dy, norm in [(dx, dy, math.hypot(dx, dy)) for dx, dy in verts] + _circle():
-        if norm == 0.0:  # the origin, or a vertex that rounds to it
-            continue
-        best = max(best, max(vx * dx + vy * dy for vx, vy in verts) / norm)
-    return best
+    k = max(0, 56 + den.bit_length() - n2.bit_length() // 2)
+    root = math.isqrt(n2 << 2 * k)
+    m, rest = divmod(root, den)  # m = floor(|v| * 2^k)
+    sticky = rest != 0 or root * root != n2 << 2 * k
+    try:
+        return (2 * m + sticky) / (1 << (k + 1))
+    except OverflowError:
+        raise PreconditionError("the euclidean norm exceeds the float range") from None
 
 
 # -- characters over the body semiring ----------------------------------------

@@ -64,8 +64,8 @@ def test_c05_c09_congruences():
 def test_c06_support_isomorphism_and_dual_norm():
     t0 = time.time()
     rep = laws.run_convex_suite(seed=SEED, cases=200)
-    _report(6, "support isomorphism (200x200), dual norm (500), euclidean mode",
-            rep, time.time() - t0)
+    _report(6, "support isomorphism (200 pairs, exact on the merged fan), dual norm (500), "
+            "euclidean mode", rep, time.time() - t0)
 
 
 def test_c08_c10_valuations_and_circle():

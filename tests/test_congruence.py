@@ -47,6 +47,23 @@ def test_closed_set_normalization():
         ClosedSet.of((F(1), F(0)))
 
 
+def test_closed_set_contains_matches_a_linear_scan():
+    rng = random.Random(17)
+    points = 0
+    for _ in range(300):
+        k = random_closed_set(rng, lo=rng.randint(-2, 0), hi=rng.randint(1, 3), max_parts=4)
+        ivs = k.intervals
+        ends = [t for iv in ivs for t in iv]
+        gaps = [(b + c) / 2 for (_, b), (c, _) in zip(ivs, ivs[1:])]
+        probes = ends + gaps + [ends[0] - 1, ends[-1] + 1, 0, 1] + [F(i, 16) for i in range(-40, 56)]
+        for t in probes:
+            assert k.contains(t) == any(a <= t <= b for a, b in ivs), (k, t)
+        points += sum(a == b for a, b in ivs)
+    assert points > 20
+    assert not ClosedSet.empty().contains(0)
+    assert ClosedSet.point(F(1, 3)).contains(F(1, 3)) and not ClosedSet.point(F(1, 3)).contains(0)
+
+
 def test_closed_set_algebra():
     k1 = ClosedSet.of((0, F(1, 2)))
     k2 = ClosedSet.of((F(1, 4), 1))

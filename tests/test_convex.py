@@ -1,9 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from char1 import convex as cx
+from char1 import laws
 from char1.convex import (
     Direction,
     FracBody,
@@ -15,7 +18,9 @@ from char1.convex import (
     hull_union,
     i_invariant,
     i_symmetrize,
+    merged_fan,
     minkowski,
+    normal_fan_rays,
     polar,
     r_norm_body,
     r_norm_euclidean,
@@ -24,6 +29,7 @@ from char1.convex import (
     random_polygon,
 )
 from char1.errors import PreconditionError
+from char1.laws import support_mismatch
 
 SEG_X = Polygon.hull([(0, 0), (1, 0)])
 SEG_Y = Polygon.hull([(0, 0), (0, 1)])
@@ -62,6 +68,87 @@ def test_support_isomorphism_random():
         psi = random_direction(rng).as_pair()
         assert hull_union(a, b).support(psi) == max(a.support(psi), b.support(psi))
         assert minkowski(a, b).support(psi) == a.support(psi) + b.support(psi)
+
+
+def _random_body(rng, max_points=5, lim=5):
+    """A random hull of 1 to max_points rational points, not always
+    holding the origin."""
+    return Polygon.hull([(F(rng.randint(-lim, lim), rng.randint(1, 3)),
+                          F(rng.randint(-lim, lim), rng.randint(1, 3)))
+                         for _ in range(rng.randint(1, max_points))])
+
+
+def _angle_from_straight_down(ray):
+    """A float reference for the order of merged_fan: the CCW angle from
+    straight down, in (0, 2*pi]."""
+    angle = (math.atan2(ray[1], ray[0]) + math.pi / 2) % (2 * math.pi)
+    return angle or 2 * math.pi
+
+
+def test_merged_fan_rays_are_sorted_primitive_and_less_than_a_half_turn_apart():
+    rng = random.Random(3)
+    for _ in range(300):
+        bodies = [_random_body(rng) for _ in range(rng.randint(0, 4))]
+        fan = merged_fan(*bodies)
+        assert fan == sorted(set(fan), key=_angle_from_straight_down)
+        assert all(math.gcd(p, q) == 1 for p, q in fan)
+        assert {(1, 0), (0, 1), (-1, 0), (0, -1)} <= set(fan)
+        for body in bodies:
+            for p, q in normal_fan_rays(body):
+                g = math.gcd(p, q)
+                assert (p // g, q // g) in fan
+        for (p1, q1), (p2, q2) in zip(fan, fan[1:] + fan[:1]):
+            assert p1 * q2 - q1 * p2 > 0  # strictly between 0 and a half-turn
+
+
+def test_support_check_catches_a_hull_union_that_agrees_on_the_merged_fan():
+    a, b = Polygon(((1, 0),)), Polygon(((0, 1),))
+    wrong = Polygon.hull([(1, 0), (0, 1), (1, 1)])
+    total = minkowski(a, b)
+    for ray in merged_fan(a, b, wrong, total):
+        assert wrong.support(ray) == max(a.support(ray), b.support(ray))
+    assert support_mismatch(a, b, wrong, total) == ("support of hull-union", (1, 1))
+
+
+def test_support_check_catches_a_minkowski_sum_missing_a_vertex():
+    rng = random.Random(5)
+    caught = 0
+    for _ in range(100):
+        a, b = _random_body(rng, max_points=4), _random_body(rng, max_points=4)
+        total = minkowski(a, b)
+        if total.dim == 0:
+            continue
+        for i in range(len(total.vertices)):
+            dropped = Polygon(total.vertices[:i] + total.vertices[i + 1:])
+            label, ray = support_mismatch(a, b, hull_union(a, b), dropped)
+            assert label == "support of minkowski sum"
+            assert dropped.support(ray) != a.support(ray) + b.support(ray)
+            caught += 1
+    assert caught > 200
+
+
+def test_support_check_passes_correct_pairs_of_every_dimension():
+    rng = random.Random(6)
+    dims = set()
+    for _ in range(300):
+        a, b = _random_body(rng, max_points=3), _random_body(rng, max_points=3)
+        assert support_mismatch(a, b, hull_union(a, b), minkowski(a, b)) is None
+        dims.add((a.dim, b.dim))
+    assert dims == {(i, j) for i in range(3) for j in range(3)}
+
+
+def test_convex_suite_shows_the_pair_and_ray_of_a_wrong_sum(monkeypatch):
+    real = cx.minkowski
+
+    def drop_last_vertex(a, b):
+        total = real(a, b)
+        return Polygon(total.vertices[:-1]) if total.dim else total
+
+    monkeypatch.setattr(cx, "minkowski", drop_last_vertex)
+    report = laws.run_convex_suite(seed=1, cases=5)
+    assert report.failed > 0
+    assert re.fullmatch(r"support of minkowski sum: Polygon\(.*\), Polygon\(.*\), \(-?\d+, -?\d+\)",
+                        report.first_counterexample)
 
 
 def test_gauge_and_rnorm_examples():
@@ -210,6 +297,31 @@ def test_euclidean_mode_matches_vertex_norms():
         assert abs(r_norm_euclidean(a) - brute) <= 1e-9
 
 
+def test_euclidean_mode_is_correctly_rounded():
+    # exact oracle: the midpoints between r and its float neighbours
+    # bracket the largest vertex norm, compared through squares
+    rng = random.Random(43)
+    bodies = [Polygon.origin(), Polygon(((F(10 ** 300), F(-10 ** 300)),))]
+    for bits in (3, 20, 53, 60, 64, 90):
+        for _ in range(40):
+            bodies.append(Polygon.hull([
+                (F(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** rng.choice((1, bits)))),
+                 F(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** rng.choice((1, bits)))))
+                for _ in range(rng.randint(1, 4))]))
+    for a in bodies:
+        top = max(x * x + y * y for x, y in a.vertices)
+        r = r_norm_euclidean(a)
+        lo = (F(math.nextafter(r, -math.inf)) + F(r)) / 2
+        hi = (F(r) + F(math.nextafter(r, math.inf))) / 2
+        assert lo <= 0 or lo * lo <= top, a
+        assert top <= hi * hi, a
+
+
+def test_euclidean_mode_rejects_a_norm_beyond_the_float_range():
+    with pytest.raises(PreconditionError):
+        r_norm_euclidean(Polygon(((F(10 ** 309), 0),)))
+
+
 def test_gauge_equals_polar_support():
     rng = random.Random(51)
     units = [E, Polygon.hull([(-1, -1), (3, -1), (0, 2)])]
@@ -330,5 +442,5 @@ def test_euclidean_mode_is_pinned_on_rational_bodies():
                         Polygon(((F(-5, 6), 0), (F(1, 6), F(11, 7)), (0, F(-1, 9))))),
               i_symmetrize(Polygon(((0, 0), (F(13, 5), F(2, 11)))))]
     assert [repr(r_norm_euclidean(a)) for a in bodies] == [
-        "2.502467917678935", "2.3570226039551585", "0.14142135623730953",
+        "2.5024679176789353", "2.3570226039551585", "0.1414213562373095",
         "2.3882032449582313", "2.6063495259154457"]

@@ -23,17 +23,30 @@ def test_laws_digest_repeats_and_moves_with_a_suite(monkeypatch):
     assert output_digest.laws_digest(["semifield"], RUNS) != first
 
 
+def test_laws_digest_names_the_suite_that_moved(monkeypatch):
+    total, suites = output_digest.laws_digest(["norm", "semifield"], RUNS)
+    assert sorted(suites) == ["norm", "semifield"]
+    # one suite alone hashes to its own entry of the map
+    assert output_digest.laws_digest(["norm"], RUNS) == (suites["norm"], {"norm": suites["norm"]})
+    monkeypatch.setitem(laws.SUITES, "semifield", laws.SUITES["decomposition"])
+    moved_total, moved = output_digest.laws_digest(["norm", "semifield"], RUNS)
+    assert moved_total != total
+    assert moved["norm"] == suites["norm"] and moved["semifield"] != suites["semifield"]
+
+
 @pytest.fixture
 def perfbench_path(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
 
 
 def test_cli_digest_repeats_and_moves_with_a_verb(monkeypatch, perfbench_path):
-    first, requests, errors = output_digest.cli_digest(seeds=[1])
+    first, requests, errors, verbs = output_digest.cli_digest(seeds=[1])
     assert 0 < errors < requests
-    assert output_digest.cli_digest(seeds=[1]) == (first, requests, errors)
+    assert output_digest.cli_digest(seeds=[1]) == (first, requests, errors, verbs)
     monkeypatch.setitem(cli._VERBS, "paf-norm", lambda p, args: {"r": "0"})
-    assert output_digest.cli_digest(seeds=[1])[0] != first
+    moved, _, _, moved_verbs = output_digest.cli_digest(seeds=[1])
+    assert moved != first
+    assert {v for v in verbs if moved_verbs[v] != verbs[v]} == {"paf-norm"}
 
 
 def test_run_request_records_what_the_cli_prints():

@@ -8,7 +8,7 @@ checkout's ``src`` and the benchmark's request generator from its
 ``perfbench``, so a checkout that predates this file is digested by running
 another checkout's copy with the older checkout as the working directory.
 It prints one JSON line, ``{"laws": md5, "cli": md5, "requests": N,
-"error_exits": M}``:
+"error_exits": M, "suites": {suite: md5}, "verbs": {verb: md5}}``:
 
 - ``laws`` hashes ``run_suite(...).to_json()`` (sorted keys) of every law
   suite, at seed 11 with the default case counts and at seed 7 with 40
@@ -16,7 +16,9 @@ It prints one JSON line, ``{"laws": md5, "cli": md5, "requests": N,
 - ``cli`` hashes, for every request of ``perfbench.wl_cli.make_inputs`` at
   seeds 1-40, the verb, argv, stdin, exit code, stdout and stderr of an
   in-process ``char1.cli.main`` call; ``error_exits`` counts the requests
-  that exit nonzero.
+  that exit nonzero;
+- ``suites`` and ``verbs`` hash the same lines split by suite and by verb,
+  so a moved total can be traced to the suites or verbs that moved.
 
 Nothing in ``perfbench`` is changed.  Standard library only.
 """
@@ -34,15 +36,18 @@ LAWS_RUNS = ((11, None), (7, 40))  # (seed, cases); None keeps each suite's defa
 CLI_SEEDS = range(1, 41)
 
 
-def laws_digest(suites, runs=LAWS_RUNS) -> str:
+def laws_digest(suites, runs=LAWS_RUNS) -> tuple[str, dict]:
+    """(md5 over every report, {suite: md5 over that suite's reports})."""
     from char1.laws import run_suite
 
-    h = hashlib.md5()
+    h, parts = hashlib.md5(), {name: hashlib.md5() for name in suites}
     for seed, cases in runs:
         for name in suites:
             report = run_suite(name, seed=seed, cases=cases).to_json()
-            h.update(json.dumps(report, sort_keys=True).encode() + b"\n")
-    return h.hexdigest()
+            line = json.dumps(report, sort_keys=True).encode() + b"\n"
+            h.update(line)
+            parts[name].update(line)
+    return h.hexdigest(), {name: part.hexdigest() for name, part in parts.items()}
 
 
 def run_request(verb, extra, text) -> tuple:
@@ -64,19 +69,23 @@ def run_request(verb, extra, text) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def cli_digest(seeds=CLI_SEEDS) -> tuple[str, int, int]:
-    """(md5, requests, error exits) over the benchmark's CLI requests."""
+def cli_digest(seeds=CLI_SEEDS) -> tuple[str, int, int, dict]:
+    """(md5, requests, error exits, {verb: md5}) over the benchmark's CLI
+    requests."""
     from perfbench import common, wl_cli
 
     mods = common.char1_modules()
-    h, requests, errors = hashlib.md5(), 0, 0
+    h, requests, errors, parts = hashlib.md5(), 0, 0, {}
     for seed in seeds:
         for verb, extra, text in wl_cli.make_inputs(mods, seed):
             code, out, err = run_request(verb, extra, text)
-            h.update(json.dumps([verb, extra, text, code, out, err]).encode() + b"\n")
+            line = json.dumps([verb, extra, text, code, out, err]).encode() + b"\n"
+            h.update(line)
+            parts.setdefault(verb, hashlib.md5()).update(line)
             requests += 1
             errors += code != 0
-    return h.hexdigest(), requests, errors
+    verbs = {verb: parts[verb].hexdigest() for verb in sorted(parts)}
+    return h.hexdigest(), requests, errors, verbs
 
 
 def main() -> int:
@@ -84,10 +93,10 @@ def main() -> int:
     sys.path[:0] = [os.path.join(root, "src"), root]
     from char1.laws import SUITES
 
-    laws_md5 = laws_digest(sorted(SUITES))
-    cli_md5, requests, errors = cli_digest()
-    print(json.dumps({"laws": laws_md5, "cli": cli_md5,
-                      "requests": requests, "error_exits": errors}))
+    laws_md5, suites = laws_digest(sorted(SUITES))
+    cli_md5, requests, errors, verbs = cli_digest()
+    print(json.dumps({"laws": laws_md5, "cli": cli_md5, "requests": requests,
+                      "error_exits": errors, "suites": suites, "verbs": verbs}))
     return 0
 
 
