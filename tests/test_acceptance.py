@@ -46,7 +46,7 @@ def test_c04_c07_characters():
     t0 = time.time()
     rep = laws.run_character_suite(seed=SEED, cases=1000)
     elapsed = time.time() - t0
-    _report(4, "norm attainment on 500 functions, 200 samples each", rep, elapsed)
+    _report(4, "norm attainment on 500 functions, 25 grid points each", rep, elapsed)
     print(f"PASS criterion 7: character axioms and separation "
           f"(same run, {elapsed:.1f}s)")
 
