@@ -547,10 +547,10 @@ def random_polygon(rng, max_extra=3, lim=4) -> Polygon:
     Integer coordinates keep the law suites fast; rational coordinates
     still arise downstream through the Frobenius dilations.
     """
-    pts = [(Fraction(0), Fraction(0))]
+    pts = [(0, 0)]
     for _ in range(rng.randint(0, max_extra)):
-        pts.append((Fraction(rng.randint(-lim, lim)), Fraction(rng.randint(-lim, lim))))
-    return Polygon(tuple(pts))
+        pts.append((rng.randint(-lim, lim), rng.randint(-lim, lim)))
+    return _from_int_hull(pts, 1)
 
 
 def random_direction(rng, lim=5) -> Direction:

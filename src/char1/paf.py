@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .scalars import fmt_rat, parse_list, parse_rat
+from .scalars import fmt_rat, parse_list, parse_pieces, parse_rat
 from .semifield import CharOneSemifield
 
 Piece = tuple[Fraction, Fraction]
@@ -298,8 +298,7 @@ class PAF:
     def from_json(cls, data) -> "PAF":
         try:
             bps = tuple(parse_rat(t) for t in parse_list(data["breakpoints"], "breakpoints"))
-            pcs = tuple((parse_rat(p["a"]), parse_rat(p["b"]))
-                        for p in parse_list(data["pieces"], "pieces"))
+            pcs = parse_pieces(data["pieces"], parse_rat)
             domain = tuple(parse_rat(t) for t in parse_list(data["domain"], "domain"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad PAF object: {exc}") from None

@@ -31,6 +31,17 @@ def parse_list(data, what: str) -> list:
     return data
 
 
+def parse_pieces(data, scalar) -> tuple:
+    """Parse a "pieces" list: JSON objects {"a": slope, "b": intercept},
+    each coefficient decoded by ``scalar``."""
+    pieces = []
+    for i, p in enumerate(parse_list(data, "pieces")):
+        if not isinstance(p, dict) or "a" not in p or "b" not in p:
+            raise SchemaError(f'pieces[{i}] must be an object with "a" and "b"')
+        pieces.append((scalar(p["a"]), scalar(p["b"])))
+    return tuple(pieces)
+
+
 def parse_pair(data, what: str) -> tuple[Fraction, Fraction]:
     """Parse a pair in the wire form: a JSON list of exactly two "p/q"
     strings.  ``what`` names the pair in the error message."""

@@ -17,76 +17,118 @@ device behind the rationally-defined subsheaf.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import fmt_rat, parse_list, parse_rat
+from .scalars import fmt_rat, parse_list, parse_pieces, parse_rat
 
 
 # -- the quadratic field Q(sqrt 2) ----------------------------------------------
 
 
-@dataclass(frozen=True)
+def _sign(p: int, q: int) -> int:
+    """The sign of p + q*sqrt 2 for integers p, q: the term of larger
+    square decides when the signs are mixed (p^2 = 2 q^2 only at zero)."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0 or (p > 0) == (q > 0) or 2 * q * q > p * p:
+        return 1 if q > 0 else -1
+    return 1 if p > 0 else -1
+
+
+def _quad(p: int, q: int, d: int) -> "Quad":
+    """The Quad (p + q*sqrt 2)/d for d > 0, reduced by gcd(p, q, d)."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    z = object.__new__(Quad)
+    z.p, z.q, z.d = p, q, d
+    return z
+
+
+def _parts(v) -> tuple[int, int, int]:
+    """The triple (p, q, d) of a Quad or of a rational."""
+    cls = v.__class__
+    if cls is Quad:
+        return v.p, v.q, v.d
+    if cls is not int and cls is not Fraction:  # skips the ABC instance check
+        v = Fraction(v)
+    return v.numerator, 0, v.denominator
+
+
 class Quad:
-    """An exact element a + b*sqrt(2); ordering is decidable by sign tests."""
+    """An exact element a + b*sqrt(2) of Q(sqrt 2), stored only as the
+    integers (p, q, d) with value (p + q*sqrt 2)/d, d > 0 and
+    gcd(p, q, d) = 1.  Equal values have equal triples; ordering is one
+    integer sign test.  Treat it as immutable."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("p", "q", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a, b=0):
+        a, b = Fraction(a), Fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da * db // math.gcd(da, db)  # for reduced a and b, gcd(p, q, d) = 1
+        self.p, self.q, self.d = a.numerator * (d // da), b.numerator * (d // db), d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     @staticmethod
     def _coerce(v) -> "Quad":
-        return v if isinstance(v, Quad) else Quad(Fraction(v))
+        return v if v.__class__ is Quad else _quad(*_parts(v))
+
+    def _plus(self, p: int, q: int, d: int) -> "Quad":
+        if d == self.d:
+            return _quad(self.p + p, self.q + q, d)
+        return _quad(self.p * d + p * self.d, self.q * d + q * self.d, self.d * d)
 
     def __add__(self, other):
-        o = Quad._coerce(other)
-        return Quad(self.a + o.a, self.b + o.b)
+        return self._plus(*_parts(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Quad(-self.a, -self.b)
+        return _quad(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        return self + (-Quad._coerce(other))
+        p, q, d = _parts(other)
+        return self._plus(-p, -q, d)
 
     def __rsub__(self, other):
-        return Quad._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        o = Quad._coerce(other)
-        return Quad(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p, q, d = _parts(other)
+        return _quad(self.p * p + 2 * self.q * q, self.p * q + self.q * p, self.d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Quad._coerce(other)
-        n = o.a * o.a - 2 * o.b * o.b
+        p, q, d = _parts(other)
+        n = p * p - 2 * q * q  # the norm, nonzero unless p = q = 0
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        return self * Quad(o.a / n, -o.b / n)
+        if n < 0:
+            n, d = -n, -d
+        return _quad((self.p * p - 2 * self.q * q) * d, (self.q * p - self.p * q) * d, self.d * n)
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        norm = a * a - 2 * b * b  # mixed signs: compare a^2 against 2 b^2
-        if norm == 0:
-            raise AssertionError("sqrt 2 is irrational")
-        return (1 if norm > 0 else -1) * (1 if a > 0 else -1)
+        return _sign(self.p, self.q)
 
     def _cmp(self, other) -> int:
-        return (self - Quad._coerce(other)).sign()
+        p, q, d = _parts(other)
+        if d == self.d:
+            return _sign(self.p - p, self.q - q)
+        return _sign(self.p * d - p * self.d, self.q * d - q * self.d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -102,18 +144,18 @@ class Quad:
 
     def __eq__(self, other):
         if isinstance(other, (Quad, Fraction, int)):
-            return self._cmp(other) == 0
+            return _parts(other) == (self.p, self.q, self.d)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        return hash(Fraction(self.p, self.d)) if self.q == 0 else hash((self.p, self.q, self.d))
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -121,16 +163,17 @@ class Quad:
         return self.a
 
     def floor(self) -> int:
-        root = math.isqrt(2 * self.b.numerator ** 2) // self.b.denominator  # floor(|b| sqrt 2)
-        m = math.floor(self.a) + (root if self.b >= 0 else -root - 1)
-        while self._cmp(m) < 0:  # the guess is off by at most one; exact tests decide
-            m -= 1
-        while self._cmp(m + 1) >= 0:
-            m += 1
-        return m
+        """Exact: floor(p + q*sqrt 2) = p + floor(q*sqrt 2), and q*sqrt 2 is
+        irrational for q != 0, so isqrt(2 q^2) never lands on it."""
+        r = math.isqrt(2 * self.q * self.q)
+        return (self.p + (r if self.q >= 0 else -r - 1)) // self.d
 
     def __repr__(self):
         return f"Quad({self.a}, {self.b})"
+
+    def __str__(self):
+        """The wire form: "p/q" when rational, else the JSON object."""
+        return fmt_rat(self.a) if self.is_rational else json.dumps(self.to_json())
 
     def to_json(self):
         if self.is_rational:
@@ -141,15 +184,15 @@ class Quad:
     def from_json(cls, data) -> "Quad":
         if isinstance(data, str):
             return cls(parse_rat(data))
-        try:
+        if isinstance(data, dict) and all(isinstance(data.get(k), str) for k in "ab"):
             return cls(parse_rat(data["a"]), parse_rat(data["b"]))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad quadratic scalar: {exc}") from None
+        raise SchemaError('a quadratic scalar must be a "p/q" string or '
+                          'an object {"a": "p/q", "b": "p/q"}')
 
 
-SQRT2 = Quad(Fraction(0), Fraction(1))
-_Q0 = Quad(Fraction(0))
-_Q1 = Quad(Fraction(1))
+SQRT2 = Quad(0, 1)
+_Q0 = Quad(0)
+_Q1 = Quad(1)
 
 
 def rational_between(u: Quad, v: Quad) -> Fraction:
@@ -404,8 +447,7 @@ class CirclePAF:
         try:
             bps = tuple(Quad.from_json(t)
                         for t in parse_list(data["breakpoints"], "breakpoints"))
-            pcs = tuple((Quad.from_json(p["a"]), Quad.from_json(p["b"]))
-                        for p in parse_list(data["pieces"], "pieces"))
+            pcs = parse_pieces(data["pieces"], Quad.from_json)
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad circle section: {exc}") from None
         try:

@@ -295,6 +295,45 @@ def test_circle_section_fields_must_be_lists(tmp_path, capsys, field, value):
     assert capsys.readouterr().err == f"char1: schema violation: {field} must be a list\n"
 
 
+QUAD_SHAPE = 'a quadratic scalar must be a "p/q" string or an object {"a": "p/q", "b": "p/q"}'
+PIECE_SHAPE = 'pieces[1] must be an object with "a" and "b"'
+TENT = {"cyclic": True, "breakpoints": ["0", {"a": "-1", "b": "1"}],
+        "pieces": [{"a": {"a": "0", "b": "1"}, "b": "0"}, {"a": "-1", "b": "1"}]}
+
+
+@pytest.mark.parametrize("verb, payload, message", [
+    ("val-circle-check", {"s": {**CONSTANT_SECTION, "breakpoints": [0]}}, QUAD_SHAPE),
+    ("val-circle-check", {"s": {**CONSTANT_SECTION, "breakpoints": [["0", "1"]]}}, QUAD_SHAPE),
+    ("val-circle-check", {"s": {**CONSTANT_SECTION, "breakpoints": [{"a": "0"}]}}, QUAD_SHAPE),
+    ("val-circle-check", {"s": {**CONSTANT_SECTION, "breakpoints": [{"a": 0, "b": "1"}]}},
+     QUAD_SHAPE),
+    ("val-circle-check", {"s": {**CONSTANT_SECTION, "pieces": [{"a": None, "b": "3"}]}},
+     QUAD_SHAPE),
+    ("val-circle-check", {"s": {**TENT, "pieces": [TENT["pieces"][0], "x"]}}, PIECE_SHAPE),
+    ("val-circle-check", {"s": {**TENT, "pieces": [TENT["pieces"][0], ["-1", "1"]]}},
+     PIECE_SHAPE),
+    ("val-circle-check", {"s": {**TENT, "pieces": [TENT["pieces"][0], {"b": "1"}]}},
+     PIECE_SHAPE),
+    ("paf-eval", {"f": {**LINE, "breakpoints": ["0", "1/2", "1"],
+                        "pieces": [LINE["pieces"][0], "x"]}, "t": "1/2"}, PIECE_SHAPE),
+    ("paf-eval", {"f": {**LINE, "breakpoints": ["0", "1/2", "1"],
+                        "pieces": [LINE["pieces"][0], {"a": "1"}]}, "t": "1/2"}, PIECE_SHAPE),
+    ("val-circle-check", {"s": {**TENT, "pieces": [{"a": "1", "b": "0"}, TENT["pieces"][1]]}},
+     'discontinuity at {"a": "-1", "b": "1"}'),
+], ids=["breakpoint-int", "breakpoint-list", "breakpoint-no-b", "breakpoint-int-a",
+        "piece-null", "circle-piece-string", "circle-piece-list", "circle-piece-no-a",
+        "paf-piece-string", "paf-piece-no-b", "discontinuity-wire-form"])
+def test_element_shapes_are_named(tmp_path, capsys, verb, payload, message):
+    code, out = run_cli(tmp_path, verb, payload)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"char1: schema violation: {message}\n"
+
+
+def test_tent_section_with_an_irrational_breakpoint(tmp_path):
+    assert run_cli(tmp_path, "val-circle-check", {"s": TENT}) == \
+        (0, '{"constant": false, "valid": false}\n')
+
+
 SQUARE01 = {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]}
 
 

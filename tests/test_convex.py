@@ -444,3 +444,26 @@ def test_euclidean_mode_is_pinned_on_rational_bodies():
     assert [repr(r_norm_euclidean(a)) for a in bodies] == [
         "2.5024679176789353", "2.3570226039551585", "0.1414213562373095",
         "2.3882032449582313", "2.6063495259154457"]
+
+
+def _random_polygon_from_fractions(rng, max_extra=3, lim=4):
+    """The construction from Fraction pairs through ``Polygon.__post_init__``
+    that ``random_polygon`` replaces; it draws from ``rng`` in the same order."""
+    pts = [(F(0), F(0))]
+    for _ in range(rng.randint(0, max_extra)):
+        pts.append((F(rng.randint(-lim, lim)), F(rng.randint(-lim, lim))))
+    return Polygon(tuple(pts))
+
+
+def test_random_polygon_matches_the_fraction_construction():
+    for seed in range(500):
+        rng = random.Random(seed)
+        max_extra, lim = rng.randint(0, 6), rng.randint(1, 5)
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        for _ in range(3):
+            got = random_polygon(rng, max_extra, lim)
+            want = _random_polygon_from_fractions(twin, max_extra, lim)
+            assert (got._den, got._iverts) == (want._den, want._iverts)
+            assert got == want and got.vertices == want.vertices
+        assert rng.getstate() == twin.getstate()

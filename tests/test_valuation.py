@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -81,6 +82,114 @@ def test_quad_rationality():
     assert Quad(F(3, 4)).to_fraction() == F(3, 4)
     with pytest.raises(PreconditionError):
         SQRT2.to_fraction()
+
+
+def test_quad_prints_its_wire_form():
+    assert str(Quad(F(3, 4))) == "3/4" and str(Quad(-2)) == "-2"
+    assert str(SQRT2 - 1) == '{"a": "-1", "b": "1"}'
+    assert repr(SQRT2 - 1) == "Quad(-1, 1)"  # the repr is unchanged
+    with pytest.raises(PreconditionError, match=r'^\{"a": "0", "b": "1/2"\} is irrational$'):
+        (SQRT2 / 2).to_fraction()
+    arc = restrict_to_arc(CirclePAF.constant(F(1)), F(1, 2), F(11, 10))
+    with pytest.raises(PreconditionError, match="^1/5 is outside the arc$"):
+        arc.piece_at(F(1, 5))
+    with pytest.raises(PreconditionError, match=r'^\{"a": "-1", "b": "1"\} is outside the arc$'):
+        arc.piece_at(SQRT2 - 1)
+    s0 = SQRT2 - 1
+    with pytest.raises(PreconditionError, match=r'^discontinuity at \{"a": "-1", "b": "1"\}$'):
+        CirclePAF((Quad(0), s0), ((Quad(1), Quad(0)), (Quad(-1), Quad(1))))
+
+
+# A reference for Q(sqrt 2): pairs (a, b) of Fractions meaning a + b*sqrt 2,
+# with the arithmetic written out on the pair.
+
+
+def _ref_sign(a, b):
+    if a >= 0 and b >= 0:
+        return 0 if a == b == 0 else 1
+    if a <= 0 and b <= 0:
+        return -1
+    return (1 if a * a > 2 * b * b else -1) * (1 if a > 0 else -1)
+
+
+def _ref_floor(a, b):
+    root = math.isqrt(2 * b.numerator ** 2) // b.denominator  # floor(|b| sqrt 2)
+    m = math.floor(a) + (root if b >= 0 else -root - 1)  # off by at most one
+    while _ref_sign(a - m, b) < 0:
+        m -= 1
+    while _ref_sign(a - m - 1, b) >= 0:
+        m += 1
+    return m
+
+
+def _ref_div(x, y):
+    n = y[0] ** 2 - 2 * y[1] ** 2
+    inv = (y[0] / n, -y[1] / n)
+    return (x[0] * inv[0] + 2 * x[1] * inv[1], x[0] * inv[1] + x[1] * inv[0])
+
+
+def _pell(n):
+    """(P, Q) with (1 - sqrt 2)^n = P - Q*sqrt 2: within 0.42^n of zero,
+    above it for even n and below it for odd n."""
+    p, q = 1, 0
+    for _ in range(n):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def _random_ref(rng):
+    kind = rng.randrange(4)
+    if kind == 0:  # small
+        return (F(rng.randint(-9, 9), rng.randint(1, 6)), F(rng.randint(-9, 9), rng.randint(1, 6)))
+    if kind == 1:  # 300-bit coefficients
+        return tuple(F(rng.getrandbits(300) - 2**299, rng.getrandbits(300) + 1) for _ in "ab")
+    if kind == 2:  # rational
+        return (F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)), F(0))
+    # within 1e-300 of an integer: k +- 1e-300, or k + (P - Q sqrt 2)
+    k = rng.randint(-5, 5)
+    if rng.random() < 0.5:
+        return (k + rng.choice((1, -1)) * F(1, 10**300), F(0))
+    p, q = _pell(rng.choice((790, 791)))
+    return (F(k + p), F(-q))
+
+
+def _check_canonical(x):
+    assert type(x.p) is int and type(x.q) is int and type(x.d) is int
+    assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
+    assert (x.a, x.b) == (F(x.p, x.d), F(x.q, x.d))
+
+
+def test_quad_matches_a_fraction_pair_reference():
+    rng = random.Random(2016)
+    ops = [operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
+    for _ in range(400):
+        rx, ry = _random_ref(rng), _random_ref(rng)
+        x, y = Quad(*rx), Quad(*ry)
+        for z, rz in [(x, rx), (y, ry), (x + y, (rx[0] + ry[0], rx[1] + ry[1])),
+                      (x - y, (rx[0] - ry[0], rx[1] - ry[1])),
+                      (x * y, (rx[0] * ry[0] + 2 * rx[1] * ry[1], rx[0] * ry[1] + rx[1] * ry[0])),
+                      (x / y, _ref_div(rx, ry)), (-x, (-rx[0], -rx[1])),
+                      (abs(x), rx if _ref_sign(*rx) >= 0 else (-rx[0], -rx[1]))]:
+            _check_canonical(z)
+            assert (z.a, z.b) == rz
+            assert z.sign() == _ref_sign(*rz)
+            assert z.floor() == _ref_floor(*rz)
+            assert z.is_rational == (rz[1] == 0)
+        # equal values have equal triples, however they were reached
+        for same in (Quad(x.a, x.b), (x * y) / y, x + y - y, -(-x), Quad(str(x.a), str(x.b))):
+            assert (same.p, same.q, same.d) == (x.p, x.q, x.d) and same == x
+            assert hash(same) == hash(x)
+        if x.is_rational:
+            assert hash(x) == hash(x.a) and x == x.a
+        r = rx[0] + rng.choice((0, ry[0]))
+        for other, ro in [(y, ry), (r, (r, F(0))), (math.floor(r), (F(math.floor(r)), F(0)))]:
+            s = _ref_sign(rx[0] - ro[0], rx[1] - ro[1])
+            for op in ops:
+                assert op(x, other) == op(s, 0)
+                assert op(other, x) == op(0, s)
+    for zero in (Quad(0), F(0), 0):
+        with pytest.raises(ZeroDivisionError):
+            SQRT2 / zero
 
 
 # -- kinks and valuations --------------------------------------------------------
@@ -378,7 +487,7 @@ def test_glue_requires_cover_and_agreement():
     left = restrict_to_arc(s, F(0), F(1, 2))
     with pytest.raises(PreconditionError):
         glue([left])  # gap over (1/2, 1)
-    with pytest.raises(PreconditionError, match=r"do not cover the circle near Quad\(1/2, 0\)"):
+    with pytest.raises(PreconditionError, match="do not cover the circle near 1/2$"):
         glue([left, restrict_to_arc(s, F(3, 5), F(11, 10))])  # gap over (1/2, 3/5)
     other = restrict_to_arc(CirclePAF.constant(F(7)), F(1, 4), F(11, 10))
     with pytest.raises(PreconditionError, match="sections disagree near"):
