@@ -4,7 +4,7 @@ Every number crossing this boundary is a "p/q" string (quadratic scalars
 are {"a","b"} objects); the only exception is the --euclidean float mode,
 whose output is flagged approximate.  Exit codes: 0 success, 1 schema
 violation or an unreadable input / unwritable output file, 2 precondition
-violation; each failure is one stderr line.
+violation; each failure is one stderr line, and so is each warning.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import congruence as cg
@@ -22,7 +23,7 @@ from . import valuation as vl
 from .errors import PreconditionError, SchemaError
 from .laws import SUITES, run_suite
 from .paf import PAF
-from .scalars import fmt_rat, parse_rat
+from .scalars import fmt_rat, parse_int_literal, parse_rat
 
 
 MAX_PLOT_SAMPLES = 10_000
@@ -155,7 +156,7 @@ def _read_payload(args) -> _Payload:
     except UnicodeDecodeError:
         raise SchemaError("input is not UTF-8 text") from None
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=parse_int_literal)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"input is not JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -203,7 +204,8 @@ def main(argv=None) -> int:
         print(f"char1: unknown verb {args.verb!r}", file=sys.stderr)
         return 1
     try:
-        result = handler(_read_payload(args), args)
+        with warnings.catch_warnings(record=True) as caught:
+            result = handler(_read_payload(args), args)
     except OSError as exc:
         print(f"char1: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
         return 1
@@ -213,6 +215,8 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"char1: precondition violated: {exc}", file=sys.stderr)
         return 2
+    for w in caught:
+        print(f"char1: warning: {w.message}", file=sys.stderr)
     if not isinstance(result, str):
         result = json.dumps(result, sort_keys=True) + "\n"
     return _write(args, result, 0)

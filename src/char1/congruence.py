@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import PreconditionError, SchemaError
+from .errors import PreconditionError
 from .paf import PAF
-from .scalars import fmt_rat, parse_list, parse_pair
+from .scalars import build, fmt_rat, parse_list, parse_object, parse_pair
 
 Interval = tuple[Fraction, Fraction]
 
@@ -84,15 +84,9 @@ class ClosedSet:
 
     @classmethod
     def from_json(cls, data) -> "ClosedSet":
-        try:
-            ivs = tuple(parse_pair(iv, "an interval")
-                        for iv in parse_list(data["intervals"], "intervals"))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad closed set: {exc}") from None
-        try:
-            return cls(ivs)
-        except PreconditionError as exc:
-            raise SchemaError(str(exc)) from None
+        [intervals] = parse_object(data, "a closed set", "intervals")
+        return build(cls, tuple(parse_pair(iv, "an interval")
+                                for iv in parse_list(intervals, "intervals")))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError, SchemaError
-from .scalars import fmt_rat, parse_list, parse_pair
+from .errors import PreconditionError
+from .scalars import build, fmt_rat, parse_list, parse_object, parse_pair
 from .semifield import CharOneSemifield
 
 Point = tuple[Fraction, Fraction]
@@ -107,7 +107,7 @@ class Polygon:
     def __post_init__(self):
         pts = [(Fraction(x), Fraction(y)) for x, y in self.vertices]
         if not pts:
-            raise PreconditionError("hull of an empty point set")
+            raise PreconditionError("a polygon needs at least one vertex")
         den = math.lcm(*(c.denominator for v in pts for c in v))
         _store_hull(_int_hull([(x.numerator * (den // x.denominator),
                                 y.numerator * (den // y.denominator)) for x, y in pts]), den, self)
@@ -182,13 +182,9 @@ class Polygon:
 
     @classmethod
     def from_json(cls, data) -> "Polygon":
-        try:
-            pts = [parse_pair(v, "a vertex") for v in parse_list(data["vertices"], "vertices")]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad polygon object: {exc}") from None
-        if not pts:
-            raise SchemaError("polygon needs at least one vertex")
-        return cls(tuple(pts))
+        [vertices] = parse_object(data, "a polygon", "vertices")
+        return build(cls, tuple(parse_pair(v, "a vertex")
+                                for v in parse_list(vertices, "vertices")))
 
 
 # The default unit body E = [-1, 1]^2.  One shared object, so that its
@@ -292,7 +288,7 @@ class Direction:
 
     @classmethod
     def from_json(cls, data) -> "Direction":
-        return cls(*parse_pair(data, "a direction"))
+        return build(cls, *parse_pair(data, "a direction"))
 
 
 # -- gauges, polars, norms ----------------------------------------------------
@@ -418,10 +414,8 @@ class FracBody:
 
     @classmethod
     def from_json(cls, data) -> "FracBody":
-        try:
-            return cls(Polygon.from_json(data["pos"]), Polygon.from_json(data["neg"]))
-        except KeyError as exc:
-            raise SchemaError(f"bad fraction body: missing {exc}") from None
+        pos, neg = parse_object(data, "a fraction body", "pos", "neg")
+        return build(cls, Polygon.from_json(pos), Polygon.from_json(neg))
 
 
 def frac_equal(x: FracBody, y: FracBody) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .scalars import fmt_rat, parse_list, parse_pieces, parse_rat
+from .scalars import build, fmt_rat, parse_list, parse_object, parse_pieces, parse_rat
 from .semifield import CharOneSemifield
 
 Piece = tuple[Fraction, Fraction]
@@ -296,18 +296,13 @@ class PAF:
 
     @classmethod
     def from_json(cls, data) -> "PAF":
-        try:
-            bps = tuple(parse_rat(t) for t in parse_list(data["breakpoints"], "breakpoints"))
-            pcs = parse_pieces(data["pieces"], parse_rat)
-            domain = tuple(parse_rat(t) for t in parse_list(data["domain"], "domain"))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad PAF object: {exc}") from None
+        bps, pcs, domain = parse_object(data, "a PAF", "breakpoints", "pieces", "domain")
+        bps = tuple(parse_rat(t) for t in parse_list(bps, "breakpoints"))
+        pcs = parse_pieces(pcs, parse_rat)
+        domain = tuple(parse_rat(t) for t in parse_list(domain, "domain"))
         if len(bps) < 2 or domain != (bps[0], bps[-1]):
             raise SchemaError("PAF domain must match first/last breakpoints")
-        try:
-            return cls(bps, pcs)
-        except PreconditionError as exc:
-            raise SchemaError(f"bad PAF object: {exc}") from None
+        return build(cls, bps, pcs)
 
 
 def _emit(bps: list, pcs: list, v: Fraction, pc: Piece) -> None:

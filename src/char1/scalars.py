@@ -3,24 +3,69 @@
 All algebraic operations in the library run on arbitrary-precision
 rationals; floats appear only in the explicitly flagged euclidean mode.
 Rationals cross the CLI boundary as "p/q" strings (plain "p" when the
-denominator is 1), which is exactly `str(Fraction)`.
+denominator is 1), which is exactly `str(Fraction)`: the grammar is
+``-?[0-9]+(/[0-9]+)?`` with at most ``MAX_DIGITS`` digits in p and in q,
+on input and on output.
+Every decoder reads its object through ``parse_object`` and builds its
+value through ``build``, so a bad wire object raises ``SchemaError``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import PreconditionError, SchemaError
+
+# Python >= 3.11's default int-string limit, kept on every version so that
+# Python 3.10 to 3.13 accept and print the same numbers.
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+_RAT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rat(text) -> Fraction:
     """Parse the "p/q" wire form."""
     if not isinstance(text, str):
         raise SchemaError(f"rational must be a string, got {type(text).__name__}")
+    m = _RAT.fullmatch(text)
+    if m is None:
+        raise SchemaError(f'bad rational {text!r}: expected "p" or "p/q" in decimal digits')
+    p, q = m.group(1, 2)
+    if len(p.lstrip("-")) > MAX_DIGITS or q is not None and len(q) > MAX_DIGITS:
+        raise SchemaError(f"rational with more than {MAX_DIGITS} digits in p or q")
+    num, den = int(p), int(q or 1)
+    if den == 0:
+        raise SchemaError(f"bad rational {text!r}: zero denominator")
+    return Fraction(num, den)
+
+
+def parse_int_literal(text: str) -> int:
+    """``json.loads``'s ``parse_int``: a JSON integer literal of at most
+    ``MAX_DIGITS`` digits."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise SchemaError(f"integer literal with more than {MAX_DIGITS} digits")
+    return int(text)
+
+
+def parse_object(data, what: str, *keys) -> list:
+    """The values of the required ``keys`` of the JSON object ``data``.
+    ``what`` names the object in the error message."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} must be an object")
+    for key in keys:
+        if key not in data:
+            raise SchemaError(f"missing field {key!r} in {what}")
+    return [data[key] for key in keys]
+
+
+def build(cls, *args):
+    """``cls(*args)``, a constructor's precondition reported as a schema
+    violation of the same text."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {text!r}: {exc}") from None
+        return cls(*args)
+    except PreconditionError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def parse_list(data, what: str) -> list:
@@ -51,5 +96,9 @@ def parse_pair(data, what: str) -> tuple[Fraction, Fraction]:
 
 
 def fmt_rat(q) -> str:
-    """Format a rational for JSON output."""
-    return str(Fraction(q))
+    """Format a rational for JSON output; a numerator or denominator of
+    more than ``MAX_DIGITS`` digits is refused on every Python version."""
+    q = q if q.__class__ is Fraction else Fraction(q)
+    if not -_TOO_LONG < q.numerator < _TOO_LONG or q.denominator >= _TOO_LONG:
+        raise PreconditionError(f"result has more than {MAX_DIGITS} digits in p or q")
+    return str(q)

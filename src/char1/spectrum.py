@@ -18,7 +18,7 @@ from fractions import Fraction
 from .convex import DEFAULT_UNIT, Direction, FracBody, Polygon, char_eval, norm_ray, polar
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import fmt_rat, parse_rat
+from .scalars import fmt_rat, parse_object, parse_rat
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,13 @@ Character = PointEval | SupportDir
 
 
 def character_from_json(data, unit: Polygon | None = None) -> Character:
-    kind = data.get("kind") if isinstance(data, dict) else None
+    [kind] = parse_object(data, "a character", "kind")
     if kind == "point":
-        return PointEval(parse_rat(data["t"]))
+        [t] = parse_object(data, "a point character", "t")
+        return PointEval(parse_rat(t))
     if kind == "dir":
-        return SupportDir(Direction.from_json(data["psi"]),
-                          unit if unit is not None else DEFAULT_UNIT)
+        [psi] = parse_object(data, "a direction character", "psi")
+        return SupportDir(Direction.from_json(psi), unit if unit is not None else DEFAULT_UNIT)
     raise SchemaError(f"unknown character kind {kind!r}")
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import fmt_rat, parse_list, parse_pieces, parse_rat
+from .scalars import build, fmt_rat, parse_list, parse_object, parse_pieces, parse_rat
 
 
 # -- the quadratic field Q(sqrt 2) ----------------------------------------------
@@ -444,16 +444,9 @@ class CirclePAF:
         # benchmark's test keeps {"s": ["x"]} as its example of a crash.
         if not isinstance(data, (dict, list)) or not data.get("cyclic"):
             raise SchemaError('circle sections carry "cyclic": true')
-        try:
-            bps = tuple(Quad.from_json(t)
-                        for t in parse_list(data["breakpoints"], "breakpoints"))
-            pcs = parse_pieces(data["pieces"], Quad.from_json)
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad circle section: {exc}") from None
-        try:
-            return cls(bps, pcs)
-        except PreconditionError as exc:
-            raise SchemaError(str(exc)) from None
+        bps, pcs = parse_object(data, "a circle section", "breakpoints", "pieces")
+        bps = tuple(Quad.from_json(t) for t in parse_list(bps, "breakpoints"))
+        return build(cls, bps, parse_pieces(pcs, Quad.from_json))
 
 
 def circle_section_valid(s: CirclePAF) -> bool:
