@@ -105,7 +105,10 @@ class Polygon:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = [(Fraction(x), Fraction(y)) for x, y in self.vertices]
+        try:
+            pts = [(Fraction(x), Fraction(y)) for x, y in self.vertices]
+        except (TypeError, ValueError, ArithmeticError):
+            raise PreconditionError("a point must be a pair of ints or Fractions") from None
         if not pts:
             raise PreconditionError("a polygon needs at least one vertex")
         den = math.lcm(*(c.denominator for v in pts for c in v))
@@ -188,7 +191,7 @@ class Polygon:
 
 
 # The default unit body E = [-1, 1]^2.  One shared object, so that its
-# facets and polar are built once for every caller that takes the default.
+# facets are checked and built once for every caller that takes the default.
 DEFAULT_UNIT = Polygon.square()
 
 
@@ -313,28 +316,22 @@ def merged_fan(*bodies: Polygon) -> list[tuple[int, int]]:
 
 
 def facets(e: Polygon) -> list[tuple[tuple[int, int], int]]:
-    """Outward facet normals (n, c) of the integer surrogate: with d the
-    common denominator of E's vertices, E = {x : <n, x> <= c / d}."""
-    if e.dim != 2:
-        raise PreconditionError("unit body must be full-dimensional")
-    return [(n, n[0] * x + n[1] * y) for n, (x, y) in zip(normal_fan_rays(e), e._iverts)]
-
-
-def _unit(e: Polygon) -> tuple[list, Polygon]:
-    """The facets and the polar of a unit body, checked once and cached on
-    the body itself; a body that fails the check caches nothing."""
-    cached = e.__dict__.get("_unit")
-    if cached is None:
-        fs = facets(e)
+    """Outward facets (n, c) of a unit body's integer surrogate: with d the
+    common denominator of E's vertices, E = {x : <n, x> <= c / d}.  Checked
+    (full-dimensional, the origin strictly inside) and cached on the body; a
+    bad body caches nothing.  Facet (n, c) is the polar vertex n * d / c, and
+    the list starts at the lexicographically least, in the polar's order."""
+    fs = e.__dict__.get("_facets")
+    if fs is None:
+        if e.dim != 2:
+            raise PreconditionError("unit body must be full-dimensional")
+        fs = [(n, n[0] * x + n[1] * y) for n, (x, y) in zip(normal_fan_rays(e), e._iverts)]
         if any(c <= 0 for _, c in fs):
             raise PreconditionError("unit body must contain the origin strictly inside")
-        # facet <n, x> <= c / d becomes the polar vertex n * d / c
-        den = math.lcm(*(c for _, c in fs))
-        pole = _from_int_hull([(nx * e._den * (den // c), ny * e._den * (den // c))
-                               for (nx, ny), c in fs], den)
-        cached = (fs, pole)
-        object.__setattr__(e, "_unit", cached)
-    return cached
+        i = min(range(len(fs)), key=lambda k: [Fraction(m, fs[k][1]) for m in fs[k][0]])
+        fs = fs[i:] + fs[:i]
+        object.__setattr__(e, "_facets", fs)
+    return fs
 
 
 def r_norm_body(a: Polygon, e: Polygon) -> Fraction:
@@ -343,7 +340,7 @@ def r_norm_body(a: Polygon, e: Polygon) -> Fraction:
     <n, v> / (c / d) over the facets of E; it is r_norm_body of the point
     body {v}."""
     best, c_best = 0, 1
-    for n, c in _unit(e)[0]:
+    for n, c in facets(e):
         top = a._isupport(*n)
         if top * c_best > best * c:
             best, c_best = top, c
@@ -351,8 +348,12 @@ def r_norm_body(a: Polygon, e: Polygon) -> Fraction:
 
 
 def polar(e: Polygon) -> Polygon:
-    """The polar body: facet <n, x> <= c becomes vertex n/c."""
-    return _unit(e)[1]
+    """The polar body, facet <n, x> <= c / d becoming vertex n * d / c: the
+    facets run in its canonical vertex order, so no hull is taken."""
+    fs = facets(e)
+    den = math.lcm(*(c for _, c in fs))
+    return _store_hull([(nx * e._den * (den // c), ny * e._den * (den // c))
+                        for (nx, ny), c in fs], den)
 
 
 def r_norm_euclidean(a: Polygon) -> float:
@@ -380,8 +381,10 @@ def char_eval(psi, x, e: Polygon) -> Fraction:
     Fraction pairs evaluate to (l_A - l_B) / l_E.  The denominator is
     positive because the origin is strictly interior to E.
     """
-    _unit(e)
+    facets(e)
     p, q, _ = _int_pair(psi.as_pair() if isinstance(psi, Direction) else psi)
+    if p == 0 and q == 0:
+        raise PreconditionError("direction must be nonzero")
     denom = e._isupport(p, q)
     if isinstance(x, FracBody):
         a, b = x.pos, x.neg
@@ -451,12 +454,12 @@ def norm_ray(x: FracBody, e: Polygon) -> tuple[tuple[int, int], Fraction]:
 
     The ratio is piecewise a ratio of linear forms over the common
     refinement of the three normal fans, so its maximum sits on one of the
-    candidate rays: the polar vertices of E (E's facet normals), then the
+    candidate rays: E's facet normals (the polar's vertices), then the
     edge normals of A, then those of B, each as a primitive integer vector
     and taken once, in that order.
     """
     a, b = x.pos, x.neg
-    rays = [*_unit(e)[1]._iverts, *normal_fan_rays(a), *normal_fan_rays(b)]
+    rays = [*(n for n, _ in facets(e)), *normal_fan_rays(a), *normal_fan_rays(b)]
     rays = dict.fromkeys((p // g, q // g) for p, q in rays for g in [math.gcd(p, q)])
     best_ray, top, s_top = next(iter(rays)), 0, 1
     for p, q in rays:
@@ -496,7 +499,7 @@ class PolygonFractionSemifield(CharOneSemifield):
 
     def __init__(self, unit_body: Polygon | None = None):
         self._unit_body = unit_body if unit_body is not None else DEFAULT_UNIT
-        _unit(self._unit_body)
+        facets(self._unit_body)
 
     @property
     def unit_body(self) -> Polygon:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convex import DEFAULT_UNIT, Direction, FracBody, Polygon, char_eval, norm_ray, polar
+from .convex import DEFAULT_UNIT, Direction, FracBody, Polygon, char_eval, facets, norm_ray
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
 from .scalars import fmt_rat, parse_object, parse_rat
@@ -76,7 +76,7 @@ def attain_norm(x, unit: Polygon | None = None) -> Character:
     """A character with |phi(x)| = r(x), chosen deterministically.
 
     PAF: the smallest breakpoint where |x| peaks.  Convex body or fraction
-    pair: the first candidate direction (polar vertices of the unit, then
+    pair: the first candidate direction (facet normals of the unit, then
     edge normals of the body) realizing the norm.  For x = 0 any character
     attains the norm; a designated default is returned under a warning.
     """
@@ -87,7 +87,7 @@ def attain_norm(x, unit: Polygon | None = None) -> Character:
         return PointEval(t)
 
     e = unit if unit is not None else DEFAULT_UNIT
-    polar(e)  # reject a bad unit body before looking at x
+    facets(e)  # reject a bad unit body before looking at x
     if isinstance(x, Polygon):
         x = FracBody.of(x)
     if not isinstance(x, FracBody):

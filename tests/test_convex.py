@@ -178,16 +178,20 @@ def test_bipolar_on_random_units():
     count = 0
     while count < 30:
         e = random_polygon(rng, max_extra=4, lim=3)
-        if e.dim != 2 or not all(c > 0 for _, c in _facets(e)):
+        if _facets(e) is None:
             continue
         count += 1
         assert polar(polar(e)) == e
 
 
 def _facets(e):
+    """The facets of e, or None if e is not a unit body."""
     from char1.convex import facets
 
-    return facets(e)
+    try:
+        return facets(e)
+    except PreconditionError:
+        return None
 
 
 def test_dual_norm_identity():
@@ -202,6 +206,16 @@ def test_char_eval_examples():
     assert char_eval(Direction(1, 0), SQUARE01, E) == 1
     assert char_eval(Direction(1, 0), E, E) == 1
     assert char_eval(Direction(1, 0), Polygon.origin(), E) == 0
+    for psi, x in [((0, 0), TRI), ((F(0), F(0, 3)), FracBody.of(TRI))]:
+        with pytest.raises(PreconditionError, match="^direction must be nonzero$"):
+            char_eval(psi, x, E)
+
+
+def test_polygon_vertices_take_whatever_fraction_takes():
+    from decimal import Decimal
+
+    body = Polygon((("1/2", 0.25), (Decimal("-1.5"), 2), (F(1, 3), "-7")))
+    assert body == Polygon.hull([(F(1, 2), F(1, 4)), (F(-3, 2), F(2)), (F(1, 3), F(-7))])
 
 
 def test_direction_canonicalization():
@@ -219,7 +233,16 @@ def test_direction_canonicalization():
     lambda: Polygon.square().contains(("1", 0)),
     lambda: Polygon.square().support((1, 2, 3)),
     lambda: Polygon.square().contains(5),
-], ids=["support-float", "direction-float", "contains-str", "support-triple", "contains-int"])
+    lambda: Polygon(((1,),)),
+    lambda: Polygon((("a", "b"),)),
+    lambda: Polygon(((0, 0), (1, 2, 3))),
+    lambda: Polygon(((None, 0),)),
+    lambda: Polygon((("1/0", 0),)),
+    lambda: Polygon(((float("inf"), 0),)),
+    lambda: Polygon(((0, 0), 5)),
+], ids=["support-float", "direction-float", "contains-str", "support-triple", "contains-int",
+        "vertex-single", "vertex-str", "vertex-triple", "vertex-none", "vertex-zero-den",
+        "vertex-inf", "vertex-int"])
 def test_non_rational_coordinates_are_a_precondition_error(call):
     with pytest.raises(PreconditionError, match="a point must be a pair of ints or Fractions"):
         call()

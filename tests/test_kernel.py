@@ -6,18 +6,21 @@ from rational edge normals, gauges from the facet inequalities, and norms
 and attaining directions by scanning every candidate ray in order.
 """
 
+import math
 import random
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
+from char1 import convex as cx
 from char1.convex import (
     Direction,
     FracBody,
     Polygon,
     PolygonFractionSemifield,
     char_eval,
+    facets,
     polar,
     r_norm_body,
     r_norm_frac,
@@ -125,7 +128,24 @@ def random_psi(rng):
     return (F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(-9, 9), rng.randint(1, 5)))
 
 
-UNITS = [E, Polygon.square(F(3, 2)), random_unit(random.Random(1)), random_unit(random.Random(2))]
+def round_unit(rng, n):
+    """A unit body with n rational vertices on an ellipse about the origin:
+    (a(1 - t^2), 2bt) / (1 + t^2) at t = tan(theta / 2), rounded to a
+    rational, for n angles theta each jittered inside its own n-th of the
+    turn, so consecutive vertices are less than a half-turn apart."""
+    a, b = F(rng.randint(1, 9), rng.randint(1, 4)), F(rng.randint(1, 9), rng.randint(1, 4))
+    pts = []
+    for k in range(n):
+        theta = -math.pi + 2 * math.pi * (k + rng.uniform(0.4, 0.6)) / n
+        t = F(math.tan(theta / 2)).limit_denominator(60)
+        pts.append((a * (1 - t * t) / (1 + t * t), b * 2 * t / (1 + t * t)))
+    return Polygon.hull(pts)
+
+
+ROUND_UNITS = [round_unit(random.Random(3), 3), round_unit(random.Random(4), 8),
+               round_unit(random.Random(5), 19).dilate(F(7, 3)), round_unit(random.Random(6), 48)]
+UNITS = [E, Polygon.square(F(3, 2)), random_unit(random.Random(1)), random_unit(random.Random(2)),
+         *ROUND_UNITS]
 
 
 # -- tests ---------------------------------------------------------------------------
@@ -153,6 +173,12 @@ def test_contains_matches_reference():
             hits += ref_contains(body, p)
         assert body.contains_origin() == ref_contains(body, (0, 0))
     assert 400 < hits < 1600
+
+
+def test_round_units_have_3_to_48_vertices():
+    assert [len(e.vertices) for e in ROUND_UNITS] == [3, 8, 19, 48]
+    for e in ROUND_UNITS:
+        assert facets(e)  # full-dimensional, the origin strictly inside
 
 
 def test_unit_facets_polar_and_gauges_match_reference():
@@ -285,8 +311,37 @@ ENTRY_POINTS = {
 def test_bad_unit_bodies_always_raise(name):
     call = ENTRY_POINTS[name]
     call(E)  # fills the cache of a good unit first
-    assert polar(E) is polar(E)
+    assert facets(E) is facets(E)
     for bad in BAD_UNITS:
         for _ in range(2):
             with pytest.raises(PreconditionError):
                 call(bad)
+
+
+def test_no_norm_or_character_path_takes_a_hull_of_the_unit(monkeypatch):
+    e = round_unit(random.Random(7), 40)
+    a = Polygon.hull([(F(1, 2), F(-3)), (F(-5, 3), F(2, 7)), (F(0), F(0))])
+    b = Polygon.hull([(F(4), F(1, 3)), (F(-1), F(-2, 5)), (F(0), F(0)), (F(2, 3), F(3))])
+    x = FracBody(a, b)
+    psi = (F(3), F(-2, 7))
+    first, best = ref_attain(x, e)
+    expected = {
+        "r_norm_body": max(ref_gauge(v, e) for v in a.vertices),
+        "r_norm_frac": best,
+        "char_eval": ref_char_eval(psi, x, e),
+        "attain_norm": SupportDir(ref_candidates(x, e)[first], e),
+        "polar": ref_polar(e),
+    }
+
+    def no_hull(ipts):
+        raise AssertionError("a hull was taken")
+
+    monkeypatch.setattr(cx, "_int_hull", no_hull)
+    assert len(e.vertices) == 40
+    assert r_norm_body(a, e) == expected["r_norm_body"]
+    assert r_norm_frac(x, e) == expected["r_norm_frac"]
+    assert char_eval(psi, x, e) == expected["char_eval"]
+    assert char_eval(Direction(*psi), a, e) == ref_char_eval(psi, a, e)
+    assert attain_norm(x, e) == expected["attain_norm"]
+    assert PolygonFractionSemifield(e).r_norm(x) == expected["r_norm_frac"]
+    assert polar(e) == expected["polar"]
