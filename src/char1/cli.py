@@ -5,6 +5,10 @@ are {"a","b"} objects); the only exception is the --euclidean float mode,
 whose output is flagged approximate.  Exit codes: 0 success, 1 schema
 violation or an unreadable input / unwritable output file, 2 precondition
 violation; each failure is one stderr line, and so is each warning.
+
+A request loads only the modules its verb needs: the verbs compute through
+the package's names, which import their submodule on first use, and
+``laws`` is imported only by ``laws-run``.
 """
 
 from __future__ import annotations
@@ -16,13 +20,8 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import congruence as cg
-from . import convex as cx
-from . import spectrum as sp
-from . import valuation as vl
+import char1
 from .errors import PreconditionError, SchemaError
-from .laws import SUITES, run_suite
-from .paf import PAF
 from .scalars import fmt_rat, parse_int_literal, parse_rat
 
 
@@ -30,7 +29,7 @@ MAX_PLOT_SAMPLES = 10_000
 MAX_LAWS_CASES = 10_000  # ten times the largest default suite count
 
 
-def emit_plot(f: PAF, samples: int) -> str:
+def emit_plot(f: char1.PAF, samples: int) -> str:
     """CSV rows (t, f(t)): evenly spaced samples plus every breakpoint."""
     if not 2 <= samples <= MAX_PLOT_SAMPLES:
         raise PreconditionError(f"plotting needs 2 to {MAX_PLOT_SAMPLES} samples, got {samples}")
@@ -39,13 +38,18 @@ def emit_plot(f: PAF, samples: int) -> str:
     return "".join(f"{fmt_rat(t)},{fmt_rat(f.eval(t))}\n" for t in sorted(pts))
 
 
+def _from_json(name: str):
+    """The decoder ``char1.<name>.from_json``; its module loads on the first decode."""
+    return lambda data: getattr(char1, name).from_json(data)
+
+
 # Every payload field and its decoder.
 _FIELDS = {
-    "f": PAF.from_json, "g": PAF.from_json,
-    "A": cx.Polygon.from_json, "B": cx.Polygon.from_json, "E": cx.Polygon.from_json,
-    "psi": cx.Direction.from_json,
-    "K1": cg.ClosedSet.from_json, "K2": cg.ClosedSet.from_json,
-    "s": vl.CirclePAF.from_json,
+    "f": _from_json("PAF"), "g": _from_json("PAF"),
+    "A": _from_json("Polygon"), "B": _from_json("Polygon"), "E": _from_json("Polygon"),
+    "psi": _from_json("Direction"),
+    "K1": _from_json("ClosedSet"), "K2": _from_json("ClosedSet"),
+    "s": _from_json("CirclePAF"),
     "t": parse_rat, "c": parse_rat, "x": parse_rat,
 }
 
@@ -61,48 +65,50 @@ class _Payload(dict):
         return _FIELDS[key](super().__getitem__(key))
 
 
-def _unit_body(p) -> cx.Polygon:
-    return p["E"] if "E" in p else cx.DEFAULT_UNIT
+def _unit_body(p) -> char1.Polygon:
+    from .convex import DEFAULT_UNIT
+
+    return p["E"] if "E" in p else DEFAULT_UNIT
 
 
 def _cmd_poly_rnorm(p, args):
     a = p["A"]
     if args.euclidean:
-        return {"r_euclidean": cx.r_norm_euclidean(a), "approximate": True}
-    return {"r": fmt_rat(cx.r_norm_body(a, _unit_body(p)))}
+        return {"r_euclidean": char1.r_norm_euclidean(a), "approximate": True}
+    return {"r": fmt_rat(char1.r_norm_body(a, _unit_body(p)))}
 
 
 def _cmd_spec_attain(p, args):
     x = p["f"] if "f" in p else p["A"]
-    phi = sp.attain_norm(x) if "f" in p else sp.attain_norm(x, _unit_body(p))
-    return {"character": phi.to_json(), "value": fmt_rat(sp.apply_char(phi, x))}
+    phi = char1.attain_norm(x) if "f" in p else char1.attain_norm(x, _unit_body(p))
+    return {"character": phi.to_json(), "value": fmt_rat(char1.apply_char(phi, x))}
 
 
 def _cmd_spec_classify(p, args):
-    v = sp.classify(p["f"])
+    v = char1.classify(p["f"])
     eps = fmt_rat(v.epsilon) if v.epsilon is not None else None
     return {"nonneg": v.nonneg, "regular": v.regular, "absorbing": v.absorbing, "epsilon": eps}
 
 
 def _cmd_cong_minrep(p, args):
-    rep = cg.min_representative(p["f"], p["K1"])
+    rep = char1.min_representative(p["f"], p["K1"])
     return {"result": rep.to_json(), "r": fmt_rat(rep.r_norm())}
 
 
 def _cmd_cong_zariski(p, args):
-    r1 = cg.RestrictionCongruence(p["K1"])
+    r1 = char1.RestrictionCongruence(p["K1"])
     out = {"V": r1.k.to_json()}
     if "K2" in p:
-        r2 = cg.RestrictionCongruence(p["K2"])
-        out["V_join"] = cg.join(r1, r2).k.to_json()
-        out["V_meet"] = cg.meet(r1, r2).k.to_json()
-        out["laws_ok"] = cg.zariski_laws(r1, r2)
+        r2 = char1.RestrictionCongruence(p["K2"])
+        out["V_join"] = char1.join(r1, r2).k.to_json()
+        out["V_meet"] = char1.meet(r1, r2).k.to_json()
+        out["laws_ok"] = char1.zariski_laws(r1, r2)
     return out
 
 
 def _cmd_val_circle_check(p, args):
     s = p["s"]
-    return {"valid": vl.circle_section_valid(s), "constant": s.is_constant()}
+    return {"valid": char1.circle_section_valid(s), "constant": s.is_constant()}
 
 
 # verb -> handler(payload, args): a JSON-ready dict, or the text of paf-plot.
@@ -112,18 +118,18 @@ _VERBS = {
     "paf-norm": lambda p, args: {"r": fmt_rat(p["f"].r_norm())},
     "paf-clamp": lambda p, args: {"result": p["f"].clamp(p["c"]).to_json()},
     "paf-plot": lambda p, args: emit_plot(p["f"], args.samples),
-    "poly-hull-union": lambda p, args: {"result": cx.hull_union(p["A"], p["B"]).to_json()},
-    "poly-minkowski": lambda p, args: {"result": cx.minkowski(p["A"], p["B"]).to_json()},
+    "poly-hull-union": lambda p, args: {"result": char1.hull_union(p["A"], p["B"]).to_json()},
+    "poly-minkowski": lambda p, args: {"result": char1.minkowski(p["A"], p["B"]).to_json()},
     "poly-support": lambda p, args: {"value": fmt_rat(p["A"].support(p["psi"].as_pair()))},
     "poly-rnorm": _cmd_poly_rnorm,
-    "poly-polar": lambda p, args: {"result": cx.polar(p["E"]).to_json()},
+    "poly-polar": lambda p, args: {"result": char1.polar(p["E"]).to_json()},
     "spec-attain": _cmd_spec_attain,
     "spec-classify": _cmd_spec_classify,
-    "cong-qnorm": lambda p, args: {"r": fmt_rat(cg.quotient_norm(p["f"], p["K1"]))},
+    "cong-qnorm": lambda p, args: {"r": fmt_rat(char1.quotient_norm(p["f"], p["K1"]))},
     "cong-minrep": _cmd_cong_minrep,
     "cong-zariski": _cmd_cong_zariski,
-    "val-kink": lambda p, args: {"kink": fmt_rat(vl.kink(p["f"], p["x"]))},
-    "val-convexity": lambda p, args: {"convex": vl.convexity_criterion(p["f"])},
+    "val-kink": lambda p, args: {"kink": fmt_rat(char1.kink(p["f"], p["x"]))},
+    "val-convexity": lambda p, args: {"convex": char1.convexity_criterion(p["f"])},
     "val-circle-check": _cmd_val_circle_check,
 }
 
@@ -188,6 +194,8 @@ def main(argv=None) -> int:
             return 1
 
     if args.verb == "laws-run":
+        from .laws import SUITES, run_suite
+
         if not args.suite or args.suite not in SUITES:
             print(f"char1: laws-run needs a suite from {sorted(SUITES)}", file=sys.stderr)
             return 1

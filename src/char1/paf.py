@@ -223,7 +223,24 @@ class PAF:
 
     def r_norm(self) -> Fraction:
         """Spectral norm against the constant unit: max |f| over breakpoints."""
-        return max(abs(v) for _, v in self.breakpoint_values())
+        return self._peak()[1]
+
+    def _peak(self) -> tuple[int, Fraction]:
+        """(i, |f(t_i)|) for the first breakpoint t_i where |f| is largest.
+
+        With the piece (n*t + m)/d and t = x/y, |f(t)| = |n*x + m*y| / (d*y);
+        the scan compares these by integer cross-multiplication, and a
+        strict > keeps the first peak.
+        """
+        ints = _integer_pieces(self.pieces)
+        ints.append(ints[-1])  # the last breakpoint closes the last piece
+        best, top, bottom = 0, 0, 1
+        for i, ((n, m, d), t) in enumerate(zip(ints, self.breakpoints)):
+            x, y = t.numerator, t.denominator
+            num, den = abs(n * x + m * y), d * y
+            if num * bottom > top * den:
+                best, top, bottom = i, num, den
+        return best, Fraction(top, bottom)
 
     def weighted_norms(self) -> tuple[Fraction, Fraction]:
         """(gauge, lipschitz) in the anchored model on [0, 1] with unit t -> t.

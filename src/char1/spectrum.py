@@ -81,10 +81,10 @@ def attain_norm(x, unit: Polygon | None = None) -> Character:
     attains the norm; a designated default is returned under a warning.
     """
     if isinstance(x, PAF):
-        t, v = max(x.breakpoint_values(), key=lambda tv: abs(tv[1]))  # the first peak
-        if v == 0:
+        i, peak = x._peak()
+        if peak == 0:
             warnings.warn("norm attainment on the zero element is degenerate")
-        return PointEval(t)
+        return PointEval(x.breakpoints[i])
 
     e = unit if unit is not None else DEFAULT_UNIT
     facets(e)  # reject a bad unit body before looking at x

@@ -69,6 +69,62 @@ def test_r_norm_is_pointwise_sup():
         assert f.r_norm() == max(abs(f.eval(t)) for t in sample)
 
 
+def first_peak(f):
+    """The first breakpoint where |f| is largest, and |f| there, from the
+    Fraction values: the reference for the integer peak scan."""
+    t, v = max(f.breakpoint_values(), key=lambda tv: abs(tv[1]))
+    return t, abs(v)
+
+
+def check_peak(f):
+    i, peak = f._peak()
+    assert (f.breakpoints[i], peak) == first_peak(f)
+    assert f.r_norm() == peak and isinstance(peak, F)
+
+
+def test_peak_scan_matches_the_reference_on_random_pafs():
+    rng = random.Random(21)
+    for _ in range(300):
+        check_peak(random_paf(rng, max_cuts=rng.randint(0, 9), value_lim=rng.choice([1, 2, 8])))
+
+
+def test_peak_scan_on_a_fold_chain_past_800_bits():
+    rng = random.Random(22)
+
+    def grid_paf(n, grid=10**6):
+        ts = [F(0)] + [F(c, grid) for c in sorted(rng.sample(range(1, grid), n - 2))] + [F(1)]
+        return PAF.from_samples([(t, F(rng.randint(-1000, 1000), 1000)) for t in ts])
+
+    f = grid_paf(16)
+    for _ in range(45):
+        q = F(rng.randint(900, 1100) | 1, rng.randint(2**9, 2**10) | 1)
+        f = (f.oplus(grid_paf(4)) + grid_paf(4)).scale(q)
+        check_peak(f)
+        check_peak(-f)
+    assert max(max(abs(a.numerator).bit_length(), a.denominator.bit_length(),
+                   abs(b.numerator).bit_length(), b.denominator.bit_length())
+               for a, b in f.pieces) > 800
+
+
+@pytest.mark.parametrize("samples, index, peak", [
+    ([(0, 1), (F(1, 3), -1), (F(2, 3), 1), (1, 0)], 0, 1),  # a three-way tie
+    ([(0, 0), (F(1, 4), -2), (F(1, 2), 2), (1, -2)], 1, 2),  # a negative peak first
+    ([(0, 0), (F(1, 2), F(-7, 3)), (1, F(7, 3))], 1, F(7, 3)),  # tie at the last breakpoint
+    ([(2, -1), (3, -5), (5, -5)], 1, 5),  # negative everywhere, off [0, 1]
+    ([(0, F(1, 3)), (F(1, 2), F(-1, 3)), (1, F(1, 3))], 0, F(1, 3)),
+])
+def test_peak_scan_keeps_the_first_of_equal_peaks(samples, index, peak):
+    f = PAF.from_samples(samples)
+    check_peak(f)
+    assert f._peak() == (index, peak)
+
+
+def test_peak_of_the_zero_function_is_its_first_breakpoint():
+    for f in (PAF.constant(0), PAF.constant(0, -3, F(5, 2)), PAF.identity() - PAF.identity()):
+        check_peak(f)
+        assert f._peak() == (0, 0)
+
+
 def test_weighted_norms_examples():
     assert PAF.identity().weighted_norms() == (F(1), F(1))
     f = PAF.constant(0).oplus(PAF.affine(2, -1))

@@ -57,6 +57,28 @@ def test_attain_norm_flags_zero():
         assert caught and "degenerate" in str(caught[0].message)
 
 
+@pytest.mark.parametrize("samples, t, value", [
+    ([(0, 1), (F(1, 3), -1), (F(2, 3), 1), (1, 0)], 0, 1),  # the first of three peaks
+    ([(0, 0), (F(1, 4), -2), (F(1, 2), 2), (1, -2)], F(1, 4), -2),  # a negative peak first
+    ([(2, -1), (3, -5), (5, -5)], 3, -5),
+])
+def test_attainment_picks_the_first_peak(samples, t, value):
+    f = PAF.from_samples(samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = attain_norm(f)
+    assert phi == PointEval(t) and apply_char(phi, f) == value
+
+
+def test_attainment_on_zero_functions_warns():
+    for f in (PAF.constant(0, -3, F(5, 2)), PAF.identity() - PAF.identity()):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert attain_norm(f) == PointEval(f.lo)
+        assert [str(w.message) for w in caught] == [
+            "norm attainment on the zero element is degenerate"]
+
+
 def test_attainment_random():
     rng = random.Random(7)
     for _ in range(100):
