@@ -68,16 +68,12 @@ class ClosedSet:
         return ClosedSet(self.intervals + other.intervals)
 
     def intersect(self, other: "ClosedSet") -> "ClosedSet":
-        out = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo <= hi:
-                    out.append((lo, hi))
-        return ClosedSet(tuple(out))
+        pairs = ((max(a, c), min(b, d)) for a, b in self.intervals for c, d in other.intervals)
+        return ClosedSet(tuple((lo, hi) for lo, hi in pairs if lo <= hi))
 
     def within(self, lo, hi) -> bool:
-        return all(Fraction(lo) <= a and b <= Fraction(hi) for a, b in self.intervals)
+        ivs = self.intervals  # sorted and disjoint: the outer ends decide
+        return not ivs or (Fraction(lo) <= ivs[0][0] and ivs[-1][1] <= Fraction(hi))
 
     def to_json(self) -> dict:
         return {"intervals": [[fmt_rat(a), fmt_rat(b)] for a, b in self.intervals]}
@@ -112,7 +108,7 @@ def related(r: RestrictionCongruence, f: PAF, g: PAF) -> bool:
     0, so the relation is the zero set of the quotient norm.  The trivial
     congruence relates everything, on any domains.
     """
-    return r.is_trivial or quotient_norm(f - g, r.k) == 0
+    return r.is_trivial or quotient_norm(f, r.k, g) == 0
 
 
 def class_of_zero_contains(r: RestrictionCongruence, f: PAF) -> bool:
@@ -130,21 +126,24 @@ def sandwich(r: RestrictionCongruence, a: PAF, b: PAF, c: PAF) -> bool:
     return class_of_zero_contains(r, b)
 
 
-def quotient_norm(f: PAF, k: ClosedSet) -> Fraction:
-    """Largest |f| over the closed set: the norm of the class of f."""
+def quotient_norm(f: PAF, k: ClosedSet, g: PAF | None = None) -> Fraction:
+    """Largest |f| over the closed set: the norm of the class of f.  Given
+    g, the norm of the class of f - g; either way it reads only the cells
+    that meet K, through the restriction to each interval of K."""
     if k.is_empty:
         raise PreconditionError("quotient norm needs a nonempty restriction set")
+    if g is not None:
+        f._check_domain(g)
     if not k.within(f.lo, f.hi):
         raise PreconditionError("restriction set leaves the function's domain")
-    bps, pcs = f.breakpoints, f.pieces
-    best = Fraction(0)
-    for a, b in k.intervals:
-        # |f| peaks at an end of [a, b] or at a breakpoint inside it; the
-        # breakpoints after a's cell up to b's cell are read off their pieces
-        i, j = f._cell_index(a), f._cell_index(b)
-        pts = [(a, pcs[i]), (b, pcs[j])] + [(bps[m], pcs[m]) for m in range(i + 1, j + 1)]
-        best = max(best, max(abs(s * t + c) for t, (s, c) in pts))
-    return best
+
+    def peak(a, b):  # the largest |f - g| on [a, b]
+        if a == b:
+            return abs(f(a) - (0 if g is None else g(a)))
+        h = f.restrict(a, b)
+        return (h if g is None else h - g.restrict(a, b)).r_norm()
+
+    return max(peak(a, b) for a, b in k.intervals)
 
 
 def min_representative(f: PAF, k: ClosedSet) -> PAF:
@@ -191,10 +190,7 @@ def order_witness(f: PAF, g: PAF, k: ClosedSet) -> PAF | None:
     are not ordered.
     """
     h = (f - g).oplus(PAF.constant(0, f.lo, f.hi))
-    r = RestrictionCongruence(k)
-    if not class_of_zero_contains(r, h):
-        return None
-    return h
+    return h if class_of_zero_contains(RestrictionCongruence(k), h) else None
 
 
 def dist_paf(k: ClosedSet, lo, hi) -> PAF:
@@ -202,14 +198,31 @@ def dist_paf(k: ClosedSet, lo, hi) -> PAF:
     if k.is_empty:
         raise PreconditionError("distance to the empty set")
     lo, hi = Fraction(lo), Fraction(hi)
-    out = None
-    for a, b in k.intervals:
-        # max(a - t, t - b, 0)
-        part = (PAF.affine(-1, a, lo, hi)
-                .oplus(PAF.affine(1, -b, lo, hi))
-                .oplus(PAF.constant(0, lo, hi)))
-        out = part if out is None else out.tropical_min(part)
-    return out
+    if lo >= hi:
+        raise PreconditionError("breakpoints must be strictly increasing")
+    # no point of [lo, hi] is further from K than the width of their hull
+    return _bump(k, lo, hi, 1, max(hi, k.intervals[-1][1]) - min(lo, k.intervals[0][0]))
+
+
+def _bump(k: ClosedSet, lo: Fraction, hi: Fraction, slope, cap) -> PAF:
+    """t -> min(cap, slope * d(t, K)) on [lo, hi], interpolated on the hull of
+    [lo, hi] and its kinks, then restricted: the ends of K's intervals, the
+    points at distance reach = cap/slope from them, the midpoints of gaps
+    shorter than 2*reach, and lo and hi where the bump is flat."""
+    if slope == 0:
+        return PAF.constant(0, lo, hi)
+    reach, ivs = cap / slope, k.intervals
+    kinks = [(lo, cap)] if lo < ivs[0][0] - reach else []
+    for n, (a, b) in enumerate(ivs):
+        c = ivs[n - 1][1] if n else a - 2 * reach  # the previous end, or a virtual one
+        half = (a - c) / 2
+        kinks += ([(c + reach, cap), (a - reach, cap)] if reach < half
+                  else [(c + half, slope * half)])
+        kinks += [(a, 0), (b, 0)] if a < b else [(a, 0)]
+    kinks.append((ivs[-1][1] + reach, cap))
+    if hi > kinks[-1][0]:
+        kinks.append((hi, cap))
+    return PAF.from_samples(kinks).restrict(lo, hi)
 
 
 def cutoff(f: PAF, k: ClosedSet, slope=None) -> PAF:
@@ -227,7 +240,7 @@ def cutoff(f: PAF, k: ClosedSet, slope=None) -> PAF:
         return f
     big = max(Fraction(1), f.r_norm())
     steep = slope if slope is not None else _default_slope(f)
-    bump = dist_paf(k, f.lo, f.hi).scale(steep * big).clamp(big)
+    bump = _bump(k, f.lo, f.hi, steep * big, big)
     return f.tropical_min(bump).oplus(-bump)
 
 
@@ -250,23 +263,12 @@ def split_vanishing(f: PAF, r1: RestrictionCongruence,
         raise PreconditionError("function must vanish on the intersection")
     if r1.is_trivial:
         return f, PAF.constant(0, f.lo, f.hi)
-    steep = _default_slope(f)
-    gap = _min_gap(r1.k, r2.k)
-    if gap is not None and gap > 0:
-        steep = max(steep, Fraction(1) / gap)
-    f1 = cutoff(f, r1.k, slope=steep)
+    # the positive gaps between K1 and K2: of two disjoint intervals, exactly
+    # one of c - b and a - d is positive
+    gaps = [max(c - b, a - d) for a, b in r1.k.intervals for c, d in r2.k.intervals
+            if c > b or a > d]
+    f1 = cutoff(f, r1.k, slope=max([_default_slope(f)] + [1 / gap for gap in gaps]))
     return f1, f - f1
-
-
-def _min_gap(k1: ClosedSet, k2: ClosedSet) -> Fraction | None:
-    gaps = []
-    for a, b in k1.intervals:
-        for c, d in k2.intervals:
-            if c > b:
-                gaps.append(c - b)
-            elif a > d:
-                gaps.append(a - d)
-    return min(gaps) if gaps else None
 
 
 # -- extension to fraction pairs over the convex sub-semiring --------------------
@@ -280,9 +282,7 @@ class FractionRestriction:
     base: RestrictionCongruence
 
     def related(self, x: tuple[PAF, PAF], y: tuple[PAF, PAF]) -> bool:
-        a, b = x
-        a2, b2 = y
-        for g in (a, b, a2, b2):
-            if not g.is_convex():
-                raise PreconditionError("fraction pairs live over convex functions")
+        (a, b), (a2, b2) = x, y
+        if not all(g.is_convex() for g in (a, b, a2, b2)):
+            raise PreconditionError("fraction pairs live over convex functions")
         return related(self.base, a + b2, a2 + b)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import PreconditionError, SchemaError
 from .scalars import build, fmt_rat, parse_list, parse_object, parse_pieces, parse_rat
@@ -55,18 +56,20 @@ class PAF:
         object.__setattr__(self, "breakpoints", tuple(merged_bps))
         object.__setattr__(self, "pieces", tuple(merged_pcs))
 
-    # -- constructors ------------------------------------------------------
+    # -- constructors: continuous by construction, so each checks only the
+    # order of its breakpoints; from_samples merges collinear cells by _emit
 
     @classmethod
     def constant(cls, c, lo=0, hi=1) -> "PAF":
-        lo, hi = _as_rat(lo), _as_rat(hi)
-        return cls((lo, hi), ((Fraction(0), _as_rat(c)),))
+        return cls.affine(0, c, lo, hi)
 
     @classmethod
     def affine(cls, a, b, lo=0, hi=1) -> "PAF":
         """The function t -> a*t + b."""
         lo, hi = _as_rat(lo), _as_rat(hi)
-        return cls((lo, hi), ((_as_rat(a), _as_rat(b)),))
+        if lo >= hi:
+            raise PreconditionError("breakpoints must be strictly increasing")
+        return _unchecked((lo, hi), ((_as_rat(a), _as_rat(b)),))
 
     @classmethod
     def identity(cls, lo=0, hi=1) -> "PAF":
@@ -74,18 +77,22 @@ class PAF:
 
     @classmethod
     def from_samples(cls, samples) -> "PAF":
-        """Piecewise-linear interpolation of sorted (t, value) pairs."""
+        """Piecewise-linear interpolation of sorted (t, value) pairs: with
+        t = x/y and value p/q, each chord is two reductions over
+        D = q0*q1*(x1*y0 - x0*y1), whose sign checks the order."""
         pts = [(_as_rat(t), _as_rat(v)) for t, v in samples]
         if len(pts) < 2:
             raise PreconditionError("need at least two sample points")
-        bps = tuple(t for t, _ in pts)
-        pcs = []
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t1 <= t0:
+        bps, pcs = [pts[0][0]], []
+        ints = [(t.numerator, t.denominator, v.numerator, v.denominator) for t, v in pts]
+        for (x0, y0, p0, q0), (x1, y1, p1, q1), (t, _) in zip(ints, ints[1:], pts[1:]):
+            dt = x1 * y0 - x0 * y1
+            if dt <= 0:
                 raise PreconditionError("sample points must be strictly increasing")
-            a = (v1 - v0) / (t1 - t0)
-            pcs.append((a, v0 - a * t0))
-        return cls(bps, tuple(pcs))
+            den = q0 * q1 * dt
+            _emit(bps, pcs, t, (Fraction((p1 * q0 - p0 * q1) * y0 * y1, den),
+                                Fraction(p0 * q1 * x1 * y0 - p1 * q0 * x0 * y1, den)))
+        return _unchecked(bps, pcs)
 
     # -- basic queries -----------------------------------------------------
 
@@ -115,17 +122,19 @@ class PAF:
 
     __call__ = eval
 
-    def breakpoint_values(self):
-        """All (t, value) pairs at breakpoints."""
-        last = len(self.pieces) - 1
-        return [(t, self.pieces[min(i, last)][0] * t + self.pieces[min(i, last)][1])
-                for i, t in enumerate(self.breakpoints)]
+    def _values(self) -> list[tuple[int, int]]:
+        """f at each breakpoint as integers (num, den), den > 0: with the
+        piece (n*t + m)/d and t = x/y, f(t) = (n*x + m*y) / (d*y)."""
+        ints = _integer_pieces(self.pieces)
+        ints.append(ints[-1])  # the last breakpoint closes the last piece
+        return [(n * t.numerator + m * t.denominator, d * t.denominator)
+                for (n, m, d), t in zip(ints, self.breakpoints)]
 
     def min_value(self) -> Fraction:
-        return min(v for _, v in self.breakpoint_values())
+        return -_first_max([(-num, den) for num, den in self._values()])[1]
 
     def max_value(self) -> Fraction:
-        return max(v for _, v in self.breakpoint_values())
+        return _first_max(self._values())[1]
 
     # -- semifield arithmetic ------------------------------------------------
 
@@ -139,21 +148,16 @@ class PAF:
         """Yield (v, i, j) for each cell [u, v] of the merged grid, in order,
         where pieces i of self and j of other hold on the cell: a
         two-pointer walk over both breakpoint tuples, which share their
-        first and last entries."""
+        first and last entries, comparing breakpoints by integer
+        cross-multiplication."""
         xs, ys = self.breakpoints, other.breakpoints
+        xk, yk = ([(t.numerator, t.denominator) for t in ts] for ts in (xs, ys))
         i = j = 1
         while i < len(xs):
-            x, y = xs[i], ys[j]
-            if x < y:
-                yield x, i - 1, j - 1
-                i += 1
-            elif y < x:
-                yield y, i - 1, j - 1
-                j += 1
-            else:
-                yield x, i - 1, j - 1
-                i += 1
-                j += 1
+            (p, q), (r, s) = xk[i], yk[j]
+            c = p * s - r * q  # the sign of x - y for x = p/q, y = r/s
+            yield (xs[i] if c <= 0 else ys[j]), i - 1, j - 1
+            i, j = i + (c <= 0), j + (c >= 0)  # step past the smaller, or past both
 
     def _envelope(self, other: "PAF", sign: int) -> "PAF":
         """The upper envelope of sign*self and sign*other, times sign: the
@@ -226,21 +230,8 @@ class PAF:
         return self._peak()[1]
 
     def _peak(self) -> tuple[int, Fraction]:
-        """(i, |f(t_i)|) for the first breakpoint t_i where |f| is largest.
-
-        With the piece (n*t + m)/d and t = x/y, |f(t)| = |n*x + m*y| / (d*y);
-        the scan compares these by integer cross-multiplication, and a
-        strict > keeps the first peak.
-        """
-        ints = _integer_pieces(self.pieces)
-        ints.append(ints[-1])  # the last breakpoint closes the last piece
-        best, top, bottom = 0, 0, 1
-        for i, ((n, m, d), t) in enumerate(zip(ints, self.breakpoints)):
-            x, y = t.numerator, t.denominator
-            num, den = abs(n * x + m * y), d * y
-            if num * bottom > top * den:
-                best, top, bottom = i, num, den
-        return best, Fraction(top, bottom)
+        """(i, |f(t_i)|) for the first breakpoint t_i where |f| is largest."""
+        return _first_max([(abs(num), den) for num, den in self._values()])
 
     def weighted_norms(self) -> tuple[Fraction, Fraction]:
         """(gauge, lipschitz) in the anchored model on [0, 1] with unit t -> t.
@@ -252,10 +243,12 @@ class PAF:
         """
         if self.domain != (Fraction(0), Fraction(1)):
             raise PreconditionError("weighted norms are defined on [0, 1]")
-        if self.eval(0) != 0:
+        vals = self._values()
+        if vals[0][0] != 0:
             raise PreconditionError("weighted norms require f(0) = 0")
-        gauge = max((abs(v) / t for t, v in self.breakpoint_values() if t > 0),
-                    default=Fraction(0))
+        # |f(t)|/t = |num|*y / (den*x) at t = x/y > 0, every breakpoint after 0
+        gauge = _first_max([(abs(num) * t.denominator, den * t.numerator)
+                            for (num, den), t in zip(vals[1:], self.breakpoints[1:])])[1]
         lipschitz = max(abs(a) for a, _ in self.pieces)
         return gauge, lipschitz
 
@@ -274,12 +267,12 @@ class PAF:
     # -- reparametrization ---------------------------------------------------
 
     def restrict(self, a, b) -> "PAF":
-        """The same function on the subinterval [a, b]: the pullback by the
-        identity."""
+        """The same function on [a, b]: the cells that meet it, cut at a and b."""
         a, b = _as_rat(a), _as_rat(b)
         if not (self.lo <= a < b <= self.hi):
             raise PreconditionError(f"[{a}, {b}] is not a subinterval of the domain")
-        return self.compose_affine(1, 0, a, b)
+        i, j = self._cell_index(a), bisect.bisect_left(self.breakpoints, b)
+        return _unchecked((a, *self.breakpoints[i + 1:j], b), self.pieces[i:j])
 
     def compose_affine(self, alpha, beta, lo, hi) -> "PAF":
         """The pullback t -> f(alpha*t + beta) on [lo, hi]."""
@@ -294,13 +287,7 @@ class PAF:
             return PAF.constant(self.eval(beta), lo, hi)
         inner = sorted((t - beta) / alpha for t in self.breakpoints
                        if lo < (t - beta) / alpha < hi)
-        bps = [lo] + inner + [hi]
-        pcs = []
-        for u, v in zip(bps, bps[1:]):
-            mid_src = alpha * u + beta if alpha > 0 else alpha * v + beta
-            a, b = self.pieces[self._cell_index(mid_src)]
-            pcs.append((a * alpha, a * beta + b))
-        return PAF(tuple(bps), tuple(pcs))
+        return PAF.from_samples([(t, self.eval(alpha * t + beta)) for t in [lo, *inner, hi]])
 
     # -- wire format ---------------------------------------------------------
 
@@ -334,6 +321,16 @@ def _emit(bps: list, pcs: list, v: Fraction, pc: Piece) -> None:
         pcs.append(pc)
 
 
+def _first_max(pairs) -> tuple[int, Fraction]:
+    """(i, num/den) for the first integer pair (num, den), den > 0, whose
+    ratio is largest: cross-multiplied, and a strict > keeps the first."""
+    best, (top, bottom) = 0, pairs[0]
+    for i, (num, den) in enumerate(pairs):
+        if num * bottom > top * den:
+            best, top, bottom = i, num, den
+    return best, Fraction(top, bottom)
+
+
 def _integer_pieces(pcs) -> list[tuple[int, int, int]]:
     """Each piece (a, b) as integers (n, m, d) with a = n/d, b = m/d, d > 0."""
     out = []
@@ -360,18 +357,11 @@ def _unchecked(bps, pcs) -> PAF:
 
 def convex_split(f: PAF) -> tuple[PAF, PAF]:
     """Write f = g - h with g, h convex; h absorbs the downward kinks."""
-    slopes = [a for a, _ in f.pieces]
-    h_slopes = []
-    acc = Fraction(0)
-    for i, s in enumerate(slopes):
-        if i > 0:
-            acc += max(Fraction(0), slopes[i - 1] - s)
-        h_slopes.append(acc)
-    # integrate h from h(lo) = 0
-    samples = [(f.lo, Fraction(0))]
-    for (u, v), s in zip(zip(f.breakpoints, f.breakpoints[1:]), h_slopes):
-        samples.append((v, samples[-1][1] + s * (v - u)))
-    h = PAF.from_samples(samples)
+    slopes, bps = [a for a, _ in f.pieces], f.breakpoints
+    h_slopes = accumulate((max(Fraction(0), s - t) for s, t in zip(slopes, slopes[1:])),
+                          initial=Fraction(0))
+    rises = (s * (v - u) for u, v, s in zip(bps, bps[1:], h_slopes))
+    h = PAF.from_samples(zip(bps, accumulate(rises, initial=Fraction(0))))  # h(lo) = 0
     return f + h, h
 
 

@@ -15,10 +15,16 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convex import DEFAULT_UNIT, Direction, FracBody, Polygon, char_eval, facets, norm_ray
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
 from .scalars import fmt_rat, parse_object, parse_rat
+
+
+def __getattr__(name):  # ``char_eval`` of the convex model, re-exported on first use
+    if name != "char_eval":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .convex import char_eval
+    return char_eval
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,7 @@ def character_from_json(data, unit: Polygon | None = None) -> Character:
         [t] = parse_object(data, "a point character", "t")
         return PointEval(parse_rat(t))
     if kind == "dir":
+        from .convex import DEFAULT_UNIT, Direction
         [psi] = parse_object(data, "a direction character", "psi")
         return SupportDir(Direction.from_json(psi), unit if unit is not None else DEFAULT_UNIT)
     raise SchemaError(f"unknown character kind {kind!r}")
@@ -66,6 +73,7 @@ def apply_char(phi: Character, x) -> Fraction:
             raise PreconditionError("point characters apply to piecewise-affine functions")
         return x.eval(phi.t)
     if isinstance(phi, SupportDir):
+        from .convex import FracBody, Polygon, char_eval
         if not isinstance(x, (Polygon, FracBody)):
             raise PreconditionError("direction characters apply to convex bodies")
         return char_eval(phi.psi, x, phi.unit)
@@ -86,6 +94,7 @@ def attain_norm(x, unit: Polygon | None = None) -> Character:
             warnings.warn("norm attainment on the zero element is degenerate")
         return PointEval(x.breakpoints[i])
 
+    from .convex import DEFAULT_UNIT, Direction, FracBody, Polygon, facets, norm_ray
     e = unit if unit is not None else DEFAULT_UNIT
     facets(e)  # reject a bad unit body before looking at x
     if isinstance(x, Polygon):
@@ -142,6 +151,7 @@ def separate(phi1: Character, phi2: Character, domain=(0, 1)):
             raise PreconditionError("characters normalized against different units")
         if phi1 == phi2:
             raise PreconditionError("characters coincide")
+        from .convex import Polygon
         probes = [Polygon(((0, 0), v)) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
         for a in probes:
             if apply_char(phi1, a) != apply_char(phi2, a):

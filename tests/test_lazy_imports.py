@@ -20,7 +20,7 @@ SRC = str(Path(char1.__file__).resolve().parents[1])
 FAMILY_MODULES = {
     "paf": {"semifield", "paf"},
     "poly": {"semifield", "convex"},
-    "spec": {"semifield", "convex", "paf", "spectrum"},
+    "spec": {"semifield", "paf", "spectrum"},
     "cong": {"semifield", "paf", "congruence"},
     "val": {"semifield", "paf", "valuation"},
 }

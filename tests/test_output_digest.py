@@ -1,6 +1,7 @@
 """tools/output_digest.py: its digests repeat and move with the output."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,18 @@ def test_run_request_records_what_the_cli_prints():
     code, out, err = output_digest.run_request("paf-norm", [], "[]")
     assert (code, out) == (1, "")
     assert err == "char1: schema violation: input must be a JSON object\n"
+
+
+def test_mismatches_name_each_value_that_moved():
+    got = {"laws": "a", "cli": "b", "requests": 3, "error_exits": 1, "suites": {}}
+    assert output_digest.mismatches(got, {"laws": "a", "requests": 3}) == []
+    assert output_digest.mismatches(got, {"laws": "x", "cli": "b", "error_exits": 2}) == [
+        "laws: expected 'x', got 'a'", "error_exits: expected 2, got 1"]
+    assert output_digest.mismatches(got, {"verbs": {}}) == ["verbs: expected {}, got None"]
+
+
+def test_the_expected_file_pins_the_four_totals():
+    expected = json.loads((ROOT / "tools" / "output_digest.expected.json").read_text())
+    assert sorted(expected) == ["cli", "error_exits", "laws", "requests"]
+    assert all(len(expected[k]) == 32 for k in ("cli", "laws"))
+    assert 0 < expected["error_exits"] < expected["requests"]

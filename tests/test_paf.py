@@ -72,8 +72,8 @@ def test_r_norm_is_pointwise_sup():
 def first_peak(f):
     """The first breakpoint where |f| is largest, and |f| there, from the
     Fraction values: the reference for the integer peak scan."""
-    t, v = max(f.breakpoint_values(), key=lambda tv: abs(tv[1]))
-    return t, abs(v)
+    t = max(f.breakpoints, key=lambda t: abs(f.eval(t)))
+    return t, abs(f.eval(t))
 
 
 def check_peak(f):

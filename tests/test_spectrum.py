@@ -125,7 +125,7 @@ def test_classify_matches_character_side():
     for _ in range(60):
         f = random_paf(rng)
         got = classify(f)
-        samples = [f.eval(F(i, 24)) for i in range(25)] + [v for _, v in f.breakpoint_values()]
+        samples = [f.eval(F(i, 24)) for i in range(25)] + [f.eval(t) for t in f.breakpoints]
         assert got.nonneg == all(v >= 0 for v in samples)
         if got.absorbing:
             assert all(v >= got.epsilon for v in samples)

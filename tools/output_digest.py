@@ -20,11 +20,18 @@ It prints one JSON line, ``{"laws": md5, "cli": md5, "requests": N,
 - ``suites`` and ``verbs`` hash the same lines split by suite and by verb,
   so a moved total can be traced to the suites or verbs that moved.
 
+With ``--expect FILE`` it also compares the line with the values in FILE
+(``tools/output_digest.expected.json`` holds ``laws``, ``cli``,
+``requests`` and ``error_exits``), prints one line to stderr per value that
+differs, and exits 1 if any does.  A change that moves an output on
+purpose updates that file and says why.
+
 Nothing in ``perfbench`` is changed.  Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -88,16 +95,33 @@ def cli_digest(seeds=CLI_SEEDS) -> tuple[str, int, int, dict]:
     return h.hexdigest(), requests, errors, verbs
 
 
-def main() -> int:
+def mismatches(got: dict, expected: dict) -> list[str]:
+    """One line for each key of ``expected`` whose value ``got`` does not have."""
+    return [f"{key}: expected {want!r}, got {got.get(key)!r}"
+            for key, want in expected.items() if got.get(key) != want]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digest what the library prints.")
+    parser.add_argument("--expect", metavar="FILE",
+                        help="a JSON object of values the digest line must repeat")
+    args = parser.parse_args(argv)
     root = os.getcwd()
     sys.path[:0] = [os.path.join(root, "src"), root]
     from char1.laws import SUITES
 
     laws_md5, suites = laws_digest(sorted(SUITES))
     cli_md5, requests, errors, verbs = cli_digest()
-    print(json.dumps({"laws": laws_md5, "cli": cli_md5, "requests": requests,
-                      "error_exits": errors, "suites": suites, "verbs": verbs}))
-    return 0
+    got = {"laws": laws_md5, "cli": cli_md5, "requests": requests,
+           "error_exits": errors, "suites": suites, "verbs": verbs}
+    print(json.dumps(got))
+    if args.expect is None:
+        return 0
+    with open(args.expect) as fh:
+        bad = mismatches(got, json.load(fh))
+    for line in bad:
+        print(f"output_digest: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
