@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from .errors import PreconditionError
 from .paf import PAF
-from .scalars import build, fmt_rat, parse_list, parse_object, parse_pair
+from .scalars import as_pair, as_rat, build, fmt_rat, parse_list, parse_object, parse_pair
 
 Interval = tuple[Fraction, Fraction]
 
@@ -32,7 +32,7 @@ class ClosedSet:
     intervals: tuple[Interval, ...]
 
     def __post_init__(self):
-        ivs = sorted((Fraction(a), Fraction(b)) for a, b in self.intervals)
+        ivs = sorted(as_pair(iv, "an interval") for iv in self.intervals)
         if any(a > b for a, b in ivs):
             raise PreconditionError("intervals must satisfy a <= b")
         merged: list[list[Fraction]] = []
@@ -45,7 +45,7 @@ class ClosedSet:
 
     @classmethod
     def of(cls, *intervals) -> "ClosedSet":
-        return cls(tuple((Fraction(a), Fraction(b)) for a, b in intervals))
+        return cls(intervals)
 
     @classmethod
     def point(cls, t) -> "ClosedSet":
@@ -60,7 +60,7 @@ class ClosedSet:
         return not self.intervals
 
     def contains(self, t) -> bool:
-        t = t if t.__class__ is Fraction else Fraction(t)
+        t = as_rat(t)
         i = bisect.bisect_right(self.intervals, t, key=itemgetter(0))
         return i > 0 and t <= self.intervals[i - 1][1]
 
@@ -73,7 +73,7 @@ class ClosedSet:
 
     def within(self, lo, hi) -> bool:
         ivs = self.intervals  # sorted and disjoint: the outer ends decide
-        return not ivs or (Fraction(lo) <= ivs[0][0] and ivs[-1][1] <= Fraction(hi))
+        return not ivs or (as_rat(lo) <= ivs[0][0] and ivs[-1][1] <= as_rat(hi))
 
     def to_json(self) -> dict:
         return {"intervals": [[fmt_rat(a), fmt_rat(b)] for a, b in self.intervals]}
@@ -197,7 +197,7 @@ def dist_paf(k: ClosedSet, lo, hi) -> PAF:
     """Distance to the closed set as a PAF (slopes in {-1, 0, 1})."""
     if k.is_empty:
         raise PreconditionError("distance to the empty set")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = as_rat(lo), as_rat(hi)
     if lo >= hi:
         raise PreconditionError("breakpoints must be strictly increasing")
     # no point of [lo, hi] is further from K than the width of their hull
@@ -234,19 +234,21 @@ def cutoff(f: PAF, k: ClosedSet, slope=None) -> PAF:
     big = max(1, r(f)), so f is kept wherever the bump has levelled off.
     The slope must be nonnegative, so that the bump is.
     """
-    if slope is not None and slope < 0:
+    if slope is not None and as_rat(slope) < 0:
         raise PreconditionError("cutoff slope must be nonnegative")
     if k.is_empty:
         return f
     big = max(Fraction(1), f.r_norm())
-    steep = slope if slope is not None else _default_slope(f)
+    steep = _default_slope(f, big) if slope is None else as_rat(slope)
     bump = _bump(k, f.lo, f.hi, steep * big, big)
     return f.tropical_min(bump).oplus(-bump)
 
 
-def _default_slope(f: PAF) -> Fraction:
+def _default_slope(f: PAF, big: Fraction | None = None) -> Fraction:
+    """max(1, lip(f) / big) for the bump's level big = max(1, r(f)), if not given."""
     lip = max(abs(a) for a, _ in f.pieces)
-    big = max(Fraction(1), f.r_norm())
+    if big is None:
+        big = max(Fraction(1), f.r_norm())
     return max(Fraction(1), lip / big)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .scalars import build, fmt_rat, parse_list, parse_object, parse_pair
+from .scalars import as_pair, as_rat, build, fmt_rat, parse_list, parse_object, parse_pair
 from .semifield import CharOneSemifield
 
 Point = tuple[Fraction, Fraction]
@@ -105,10 +105,7 @@ class Polygon:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        try:
-            pts = [(Fraction(x), Fraction(y)) for x, y in self.vertices]
-        except (TypeError, ValueError, ArithmeticError):
-            raise PreconditionError("a point must be a pair of ints or Fractions") from None
+        pts = [as_pair(v, "a point") for v in self.vertices]
         if not pts:
             raise PreconditionError("a polygon needs at least one vertex")
         den = math.lcm(*(c.denominator for v in pts for c in v))
@@ -141,7 +138,7 @@ class Polygon:
 
     @classmethod
     def square(cls, half_width=1) -> "Polygon":
-        h = Fraction(half_width)
+        h = as_rat(half_width)
         return cls(((-h, -h), (h, -h), (h, h), (-h, h)))
 
     @property
@@ -158,7 +155,7 @@ class Polygon:
 
     def dilate(self, q) -> "Polygon":
         """Scale by the rational q >= 0 about the origin."""
-        q = Fraction(q)
+        q = as_rat(q)
         if q < 0:
             raise PreconditionError("dilation factor must be nonnegative")
         if q == 0:
@@ -196,7 +193,10 @@ DEFAULT_UNIT = Polygon.square()
 
 
 def _int_pair(v) -> tuple[int, int, int]:
-    """(x, y, m) with v = (x / m, y / m), all integers and m > 0."""
+    """(x, y, m) with v = (x / m, y / m), all integers and m > 0: the exact
+    reader of the query forms (``support``, ``contains``, ``Direction``,
+    ``char_eval``).  It converts nothing, so only ``int``s and ``Fraction``s
+    pass, where a value argument takes anything ``scalars.as_rat`` reads."""
     try:
         a, b = v
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
@@ -207,6 +207,9 @@ def _int_pair(v) -> tuple[int, int, int]:
 
 def _rescale(a: Polygon, b: Polygon):
     """Integer vertex lists of both bodies over one common denominator."""
+    if a.__class__ is not Polygon or b.__class__ is not Polygon:
+        raise PreconditionError(f"expected two Polygons, got {type(a).__name__} "
+                                f"and {type(b).__name__}")
     g = math.gcd(a._den, b._den)
     den = a._den // g * b._den
     sa, sb = den // a._den, den // b._den
@@ -443,7 +446,7 @@ def frac_neg(x: FracBody) -> FracBody:
 
 
 def frac_scale(q, x: FracBody) -> FracBody:
-    q = Fraction(q)
+    q = as_rat(q)
     if q < 0:
         return frac_scale(-q, frac_neg(x))
     return FracBody(x.pos.dilate(q), x.neg.dilate(q))

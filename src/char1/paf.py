@@ -18,14 +18,11 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import PreconditionError, SchemaError
-from .scalars import build, fmt_rat, parse_list, parse_object, parse_pieces, parse_rat
+from .scalars import (as_pair, as_rat, build, fmt_rat, parse_list, parse_object,
+                      parse_pieces, parse_rat)
 from .semifield import CharOneSemifield
 
 Piece = tuple[Fraction, Fraction]
-
-
-def _as_rat(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -36,8 +33,8 @@ class PAF:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        bps = tuple(_as_rat(t) for t in self.breakpoints)
-        pcs = tuple((_as_rat(a), _as_rat(b)) for a, b in self.pieces)
+        bps = tuple(as_rat(t) for t in self.breakpoints)
+        pcs = tuple(as_pair(pc, "a piece") for pc in self.pieces)
         if len(bps) < 2:
             raise PreconditionError("a PAF needs at least two breakpoints")
         if len(pcs) != len(bps) - 1:
@@ -66,10 +63,10 @@ class PAF:
     @classmethod
     def affine(cls, a, b, lo=0, hi=1) -> "PAF":
         """The function t -> a*t + b."""
-        lo, hi = _as_rat(lo), _as_rat(hi)
+        lo, hi = as_rat(lo), as_rat(hi)
         if lo >= hi:
             raise PreconditionError("breakpoints must be strictly increasing")
-        return _unchecked((lo, hi), ((_as_rat(a), _as_rat(b)),))
+        return _unchecked((lo, hi), ((as_rat(a), as_rat(b)),))
 
     @classmethod
     def identity(cls, lo=0, hi=1) -> "PAF":
@@ -80,7 +77,7 @@ class PAF:
         """Piecewise-linear interpolation of sorted (t, value) pairs: with
         t = x/y and value p/q, each chord is two reductions over
         D = q0*q1*(x1*y0 - x0*y1), whose sign checks the order."""
-        pts = [(_as_rat(t), _as_rat(v)) for t, v in samples]
+        pts = [as_pair(s, "a sample") for s in samples]
         if len(pts) < 2:
             raise PreconditionError("need at least two sample points")
         bps, pcs = [pts[0][0]], []
@@ -114,7 +111,7 @@ class PAF:
         return min(i, len(self.pieces) - 1)
 
     def eval(self, t) -> Fraction:
-        t = _as_rat(t)
+        t = as_rat(t)
         if not self.lo <= t <= self.hi:
             raise PreconditionError(f"{t} outside domain [{self.lo}, {self.hi}]")
         a, b = self.pieces[self._cell_index(t)]
@@ -139,6 +136,8 @@ class PAF:
     # -- semifield arithmetic ------------------------------------------------
 
     def _check_domain(self, other: "PAF"):
+        if other.__class__ is not PAF:
+            raise PreconditionError(f"expected a PAF, got {type(other).__name__}")
         if self.domain != other.domain:
             raise PreconditionError(
                 f"domain mismatch: [{self.lo}, {self.hi}] vs [{other.lo}, {other.hi}]"
@@ -211,7 +210,7 @@ class PAF:
 
     def scale(self, q) -> "PAF":
         """Pointwise multiplication by the rational q."""
-        q = _as_rat(q)
+        q = as_rat(q)
         if q == 0:
             return PAF.constant(0, self.lo, self.hi)
         return _unchecked(self.breakpoints, [(q * a, q * b) for a, b in self.pieces])
@@ -258,7 +257,7 @@ class PAF:
 
     def clamp(self, c) -> "PAF":
         """max(min(f, c), -c): the minimal-norm function agreeing with f on {|f| <= c}."""
-        c = _as_rat(c)
+        c = as_rat(c)
         if c < 0:
             raise PreconditionError("clamp bound must be nonnegative")
         cap = PAF.constant(c, self.lo, self.hi)
@@ -268,7 +267,7 @@ class PAF:
 
     def restrict(self, a, b) -> "PAF":
         """The same function on [a, b]: the cells that meet it, cut at a and b."""
-        a, b = _as_rat(a), _as_rat(b)
+        a, b = as_rat(a), as_rat(b)
         if not (self.lo <= a < b <= self.hi):
             raise PreconditionError(f"[{a}, {b}] is not a subinterval of the domain")
         i, j = self._cell_index(a), bisect.bisect_left(self.breakpoints, b)
@@ -276,8 +275,8 @@ class PAF:
 
     def compose_affine(self, alpha, beta, lo, hi) -> "PAF":
         """The pullback t -> f(alpha*t + beta) on [lo, hi]."""
-        alpha, beta = _as_rat(alpha), _as_rat(beta)
-        lo, hi = _as_rat(lo), _as_rat(hi)
+        alpha, beta = as_rat(alpha), as_rat(beta)
+        lo, hi = as_rat(lo), as_rat(hi)
         if lo >= hi:
             raise PreconditionError("empty target interval")
         ends = (alpha * lo + beta, alpha * hi + beta)
@@ -371,7 +370,7 @@ class PAFSemifield(CharOneSemifield):
     name = "paf"
 
     def __init__(self, lo=0, hi=1):
-        self._lo, self._hi = _as_rat(lo), _as_rat(hi)
+        self._lo, self._hi = as_rat(lo), as_rat(hi)
 
     def oplus(self, x, y):
         return x.oplus(y)
@@ -402,7 +401,7 @@ class PAFSemifield(CharOneSemifield):
 
 def random_paf(rng, lo=0, hi=1, max_cuts=3, value_lim=8, den=6) -> PAF:
     """A random PAF from a small rational grid; exactness-friendly sizes."""
-    lo, hi = _as_rat(lo), _as_rat(hi)
+    lo, hi = as_rat(lo), as_rat(hi)
     grid_den = rng.randint(2, den)
     k = rng.randint(0, min(max_cuts, 2 * grid_den - 1))
     cuts = sorted(rng.sample(range(1, 2 * grid_den), k))

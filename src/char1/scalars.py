@@ -8,6 +8,8 @@ denominator is 1), which is exactly `str(Fraction)`: the grammar is
 on input and on output.
 Every decoder reads its object through ``parse_object`` and builds its
 value through ``build``, so a bad wire object raises ``SchemaError``.
+Inside the library every scalar argument is read by ``as_rat`` and every
+rational pair by ``as_pair``, so a bad one raises ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -95,10 +97,30 @@ def parse_pair(data, what: str) -> tuple[Fraction, Fraction]:
     return parse_rat(data[0]), parse_rat(data[1])
 
 
+def as_rat(v) -> Fraction:
+    """A library scalar as a ``Fraction``: a ``Fraction`` as it is, anything
+    else that ``Fraction()`` accepts converted (an ``int`` too, so that
+    ``/`` stays exact), and anything else a ``PreconditionError``."""
+    try:
+        return v if v.__class__ is Fraction else Fraction(v)
+    except (TypeError, ValueError, ArithmeticError):
+        raise PreconditionError(f"not a rational: {v!r}") from None
+
+
+def as_pair(v, what: str) -> tuple[Fraction, Fraction]:
+    """A library pair of scalars, each read by ``as_rat``.  ``what`` names
+    the pair in the error message."""
+    try:
+        a, b = v
+        return as_rat(a), as_rat(b)
+    except (TypeError, ValueError):  # a PreconditionError is a ValueError
+        raise PreconditionError(f"{what} must be a pair of ints or Fractions") from None
+
+
 def fmt_rat(q) -> str:
     """Format a rational for JSON output; a numerator or denominator of
     more than ``MAX_DIGITS`` digits is refused on every Python version."""
-    q = q if q.__class__ is Fraction else Fraction(q)
+    q = as_rat(q)
     if not -_TOO_LONG < q.numerator < _TOO_LONG or q.denominator >= _TOO_LONG:
         raise PreconditionError(f"result has more than {MAX_DIGITS} digits in p or q")
     return str(q)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .scalars import as_rat
 
 
 class CharOneSemifield:
@@ -135,7 +136,7 @@ class ScalarTrop(CharOneSemifield):
         return -x
 
     def scale(self, q, x):
-        return Fraction(q) * x
+        return as_rat(q) * x
 
     @property
     def zero(self):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import fmt_rat, parse_object, parse_rat
+from .scalars import as_pair, as_rat, fmt_rat, parse_object, parse_rat
 
 
 def __getattr__(name):  # ``char_eval`` of the convex model, re-exported on first use
@@ -34,7 +34,7 @@ class PointEval:
     t: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "t", Fraction(self.t))
+        object.__setattr__(self, "t", as_rat(self.t))
 
     def to_json(self) -> dict:
         return {"kind": "point", "t": fmt_rat(self.t)}
@@ -142,7 +142,7 @@ def separate(phi1: Character, phi2: Character, domain=(0, 1)):
     if isinstance(phi1, PointEval) and isinstance(phi2, PointEval):
         if phi1 == phi2:
             raise PreconditionError("characters coincide")
-        lo, hi = Fraction(domain[0]), Fraction(domain[1])
+        lo, hi = as_pair(domain, "a domain")
         if not (lo <= phi1.t <= hi and lo <= phi2.t <= hi):
             raise PreconditionError("characters live outside the requested domain")
         return PAF.identity(lo, hi)
@@ -169,7 +169,7 @@ def prescribe(ops, phi1: Character, phi2: Character, z, alpha, beta):
     a1, a2 = apply_char(phi1, z), apply_char(phi2, z)
     if a1 == a2:
         raise PreconditionError("z does not separate the characters")
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = as_rat(alpha), as_rat(beta)
     lam = (alpha - beta) / (a1 - a2)
     mu = (-a2 * alpha + a1 * beta) / (a1 - a2)
     return ops.plus(ops.scale(lam, z), ops.scale(mu, ops.unit))

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import build, fmt_rat, parse_list, parse_object, parse_pieces, parse_rat
+from .scalars import (as_pair, as_rat, build, fmt_rat, parse_list, parse_object,
+                      parse_pieces, parse_rat)
 
 
 # -- the quadratic field Q(sqrt 2) ----------------------------------------------
@@ -56,7 +57,7 @@ def _parts(v) -> tuple[int, int, int]:
     if cls is Quad:
         return v.p, v.q, v.d
     if cls is not int and cls is not Fraction:  # skips the ABC instance check
-        v = Fraction(v)
+        v = as_rat(v)
     return v.numerator, 0, v.denominator
 
 
@@ -69,7 +70,7 @@ class Quad:
     __slots__ = ("p", "q", "d")
 
     def __init__(self, a, b=0):
-        a, b = Fraction(a), Fraction(b)
+        a, b = as_rat(a), as_rat(b)
         da, db = a.denominator, b.denominator
         d = da * db // math.gcd(da, db)  # for reduced a and b, gcd(p, q, d) = 1
         self.p, self.q, self.d = a.numerator * (d // da), b.numerator * (d // db), d
@@ -212,7 +213,7 @@ def rational_between(u: Quad, v: Quad) -> Fraction:
 
 def kink(f: PAF, x) -> Fraction:
     """Right slope minus left slope at an interior point (0 off breakpoints)."""
-    x = Fraction(x)
+    x = as_rat(x)
     if not f.lo < x < f.hi:
         raise PreconditionError("kinks are defined at interior points")
     i = bisect.bisect_left(f.breakpoints, x)
@@ -237,7 +238,7 @@ def valuation_at(x, f: PAF) -> Fraction:
     the decomposition and rational homogeneity are exercised by the
     suites.
     """
-    x = Fraction(x)
+    x = as_rat(x)
     if f.eval(x) != 0:
         raise PreconditionError("valuations apply to functions vanishing at the point")
     return _shifted_valuation(f, x)
@@ -258,7 +259,7 @@ def is_local_unit(f: PAF, x) -> bool:
     its denominator b is a local unit, i.e. b - b(x)*E does not kink at x.
     Endpoints carry the zero valuation, so everything is local there.
     """
-    return _shifted_valuation(f, Fraction(x)) == 0
+    return _shifted_valuation(f, as_rat(x)) == 0
 
 
 def smooth_neighborhood(f: PAF, x0) -> tuple[Fraction, Fraction]:
@@ -268,7 +269,7 @@ def smooth_neighborhood(f: PAF, x0) -> tuple[Fraction, Fraction]:
     form gives every interior breakpoint a nonzero kink, so the interval
     is the cell of x0.
     """
-    x0 = Fraction(x0)
+    x0 = as_rat(x0)
     if not f.lo <= x0 <= f.hi:
         raise PreconditionError(f"{x0} outside domain [{f.lo}, {f.hi}]")
     if f.lo < x0 < f.hi and kink(f, x0) != 0:
@@ -288,9 +289,9 @@ def local_morphism_check(alpha, beta, x_src, x_dst, elements=None,
     both directions.  The valuation of f - f(x)*E at x is read straight off
     f, without building the difference.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    x_src, x_dst = Fraction(x_src), Fraction(x_dst)
-    lo, hi = Fraction(domain[0]), Fraction(domain[1])
+    alpha, beta = as_rat(alpha), as_rat(beta)
+    x_src, x_dst = as_rat(x_src), as_rat(x_dst)
+    lo, hi = as_pair(domain, "a domain")
     if alpha * x_dst + beta != x_src:
         return False
     if elements is None:
@@ -613,8 +614,8 @@ def k_defined_check(s0, left, right) -> bool:
     weaker condition applies: the kink must be a nonnegative rational.
     """
     s0 = Quad._coerce(s0)
-    a, b = (Fraction(v) for v in left)
-    a2, b2 = (Fraction(v) for v in right)
+    a, b = as_pair(left, "the left piece")
+    a2, b2 = as_pair(right, "the right piece")
     if s0 * a + b != s0 * a2 + b2:
         raise PreconditionError("pieces do not meet at the junction")
     kink_val = a2 - a

@@ -36,7 +36,7 @@ def test_frobenius_scale_examples():
 
 
 def test_frobenius_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(PreconditionError):
         SCALAR.scale("1/0", F(1))
 
 
