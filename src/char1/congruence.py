@@ -20,7 +20,8 @@ from operator import itemgetter
 
 from .errors import PreconditionError
 from .paf import PAF
-from .scalars import as_pair, as_rat, build, fmt_rat, parse_list, parse_object, parse_pair
+from .scalars import (as_pair, as_rat, build, check_model, fmt_rat, parse_list, parse_object,
+                      parse_pair)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -130,6 +131,8 @@ def quotient_norm(f: PAF, k: ClosedSet, g: PAF | None = None) -> Fraction:
     """Largest |f| over the closed set: the norm of the class of f.  Given
     g, the norm of the class of f - g; either way it reads only the cells
     that meet K, through the restriction to each interval of K."""
+    check_model(f, PAF)
+    check_model(k, ClosedSet)
     if k.is_empty:
         raise PreconditionError("quotient norm needs a nonempty restriction set")
     if g is not None:

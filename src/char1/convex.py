@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .scalars import as_pair, as_rat, build, fmt_rat, parse_list, parse_object, parse_pair
+from .scalars import (as_pair, as_rat, build, check_model, fmt_rat, parse_list, parse_object,
+                      parse_pair)
 from .semifield import CharOneSemifield
 
 Point = tuple[Fraction, Fraction]
@@ -69,12 +70,15 @@ def _int_hull(ipts) -> list:
     return hull
 
 
-def _store_hull(hull, den: int, p: Polygon | None = None) -> Polygon:
+def _store_hull(hull, den: int, p: Polygon | None = None, vertices=None) -> Polygon:
     """Give p (default: a new Polygon) the canonical integer vertex list
     hull, CCW from the lexicographic minimum without collinear points, over
     the denominator den; both are divided by their gcd, so that
-    (``_den``, ``_iverts``) is canonical."""
-    g = math.gcd(den, *(c for v in hull for c in v)) if den > 1 else 1
+    (``_den``, ``_iverts``) is canonical.  Given ``vertices``, the same
+    points as reduced ``Fraction`` pairs with den the lcm of their
+    denominators, the pair is already reduced and they are cached as
+    ``vertices``."""
+    g = math.gcd(den, *(c for v in hull for c in v)) if den > 1 and vertices is None else 1
     if g > 1:
         den, hull = den // g, [(x // g, y // g) for x, y in hull]
     if p is None:
@@ -82,6 +86,8 @@ def _store_hull(hull, den: int, p: Polygon | None = None) -> Polygon:
     else:
         del p.__dict__["vertices"]  # the raw input the dataclass stored
     p.__dict__.update(_den=den, _iverts=tuple(hull))
+    if vertices is not None:
+        p.__dict__["vertices"] = vertices
     return p
 
 
@@ -318,12 +324,37 @@ def merged_fan(*bodies: Polygon) -> list[tuple[int, int]]:
     return sorted(rays, key=functools.cmp_to_key(lambda e, f: -1 if _not_after(e, f) else 1))
 
 
+def _supports(p: Polygon, fan) -> list[int]:
+    """The support of p's integer surrogate at each ray of ``merged_fan``,
+    in one turn.  The supporting vertex only moves forward as the ray
+    turns, and from one ray to the next (under a half-turn) the forms rise
+    along the walk up to it, so it is found by stepping while they rise.
+    The walk starts at the lexicographic minimum, which supports (-1, 0),
+    and the fan's first ray lies past straight down and no later than
+    (1, 0), so the forms rise from there to its support too."""
+    iv, n, j = p._iverts, len(p._iverts), 0
+    out = []
+    for r0, r1 in fan:
+        x, y = iv[j]
+        h = r0 * x + r1 * y
+        while True:
+            k = (j + 1) % n
+            x, y = iv[k]
+            h2 = r0 * x + r1 * y
+            if h2 <= h:
+                break
+            j, h = k, h2
+        out.append(h)
+    return out
+
+
 def facets(e: Polygon) -> list[tuple[tuple[int, int], int]]:
     """Outward facets (n, c) of a unit body's integer surrogate: with d the
     common denominator of E's vertices, E = {x : <n, x> <= c / d}.  Checked
     (full-dimensional, the origin strictly inside) and cached on the body; a
     bad body caches nothing.  Facet (n, c) is the polar vertex n * d / c, and
     the list starts at the lexicographically least, in the polar's order."""
+    check_model(e, Polygon)
     fs = e.__dict__.get("_facets")
     if fs is None:
         if e.dim != 2:
@@ -352,11 +383,14 @@ def r_norm_body(a: Polygon, e: Polygon) -> Fraction:
 
 def polar(e: Polygon) -> Polygon:
     """The polar body, facet <n, x> <= c / d becoming vertex n * d / c: the
-    facets run in its canonical vertex order, so no hull is taken."""
-    fs = facets(e)
-    den = math.lcm(*(c for _, c in fs))
-    return _store_hull([(nx * e._den * (den // c), ny * e._den * (den // c))
-                        for (nx, ny), c in fs], den)
+    facets run in its canonical vertex order, so no hull is taken.  Each
+    vertex is reduced on its own, and the lcm of their denominators is the
+    reduced common one, so no gcd is taken over the scaled coordinates."""
+    d = e._den
+    verts = tuple((Fraction(nx * d, c), Fraction(ny * d, c)) for (nx, ny), c in facets(e))
+    den = math.lcm(*(q.denominator for v in verts for q in v))
+    return _store_hull([(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+                        for x, y in verts], den, vertices=verts)
 
 
 def r_norm_euclidean(a: Polygon) -> float:
@@ -426,11 +460,15 @@ class FracBody:
 
 def frac_equal(x: FracBody, y: FracBody) -> bool:
     """Cancellative equality: A - B = A' - B' iff A + B' = A' + B."""
+    check_model(x, FracBody)
+    check_model(y, FracBody)
     return minkowski(x.pos, y.neg) == minkowski(y.pos, x.neg)
 
 
 def frac_oplus(x: FracBody, y: FracBody) -> FracBody:
     """Tropical sum of differences: hull((A1+B2) u (A2+B1)) - (B1+B2)."""
+    check_model(x, FracBody)
+    check_model(y, FracBody)
     return FracBody(
         hull_union(minkowski(x.pos, y.neg), minkowski(y.pos, x.neg)),
         minkowski(x.neg, y.neg),
@@ -459,17 +497,22 @@ def norm_ray(x: FracBody, e: Polygon) -> tuple[tuple[int, int], Fraction]:
     refinement of the three normal fans, so its maximum sits on one of the
     candidate rays: E's facet normals (the polar's vertices), then the
     edge normals of A, then those of B, each as a primitive integer vector
-    and taken once, in that order.
+    and taken once, in that order.  One sweep of ``merged_fan`` gives every
+    body's support at every ray: past the sort of the rays, the search is
+    linear in |E| + |A| + |B|.
     """
+    check_model(x, FracBody)
     a, b = x.pos, x.neg
     rays = [*(n for n, _ in facets(e)), *normal_fan_rays(a), *normal_fan_rays(b)]
     rays = dict.fromkeys((p // g, q // g) for p, q in rays for g in [math.gcd(p, q)])
+    fan = merged_fan(e, a, b)
+    at = {r: (abs(ha * b._den - hb * a._den), he)
+          for r, ha, hb, he in zip(fan, _supports(a, fan), _supports(b, fan), _supports(e, fan))}
     best_ray, top, s_top = next(iter(rays)), 0, 1
-    for p, q in rays:
-        diff = abs(a._isupport(p, q) * b._den - b._isupport(p, q) * a._den)
-        s = e._isupport(p, q)
+    for ray in rays:
+        diff, s = at[ray]
         if diff * s_top > top * s:
-            best_ray, top, s_top = (p, q), diff, s
+            best_ray, top, s_top = ray, diff, s
     return best_ray, Fraction(top * e._den, s_top * a._den * b._den)
 
 

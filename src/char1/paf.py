@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import PreconditionError, SchemaError
-from .scalars import (as_pair, as_rat, build, fmt_rat, parse_list, parse_object,
+from .scalars import (as_pair, as_rat, build, check_model, fmt_rat, parse_list, parse_object,
                       parse_pieces, parse_rat)
 from .semifield import CharOneSemifield
 
@@ -136,8 +136,7 @@ class PAF:
     # -- semifield arithmetic ------------------------------------------------
 
     def _check_domain(self, other: "PAF"):
-        if other.__class__ is not PAF:
-            raise PreconditionError(f"expected a PAF, got {type(other).__name__}")
+        check_model(other, PAF)
         if self.domain != other.domain:
             raise PreconditionError(
                 f"domain mismatch: [{self.lo}, {self.hi}] vs [{other.lo}, {other.hi}]"

@@ -8,12 +8,15 @@ denominator is 1), which is exactly `str(Fraction)`: the grammar is
 on input and on output.
 Every decoder reads its object through ``parse_object`` and builds its
 value through ``build``, so a bad wire object raises ``SchemaError``.
-Inside the library every scalar argument is read by ``as_rat`` and every
-rational pair by ``as_pair``, so a bad one raises ``PreconditionError``.
+Inside the library every scalar argument is read by ``as_rat``, every
+rational pair by ``as_pair`` and every natural number by ``as_nat``, and
+an element at a public entry is checked by ``check_model``, so a bad one
+raises ``PreconditionError``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -115,6 +118,28 @@ def as_pair(v, what: str) -> tuple[Fraction, Fraction]:
         return as_rat(a), as_rat(b)
     except (TypeError, ValueError):  # a PreconditionError is a ValueError
         raise PreconditionError(f"{what} must be a pair of ints or Fractions") from None
+
+
+def as_nat(n, least: int) -> int:
+    """A natural-number argument of at least ``least``: an ``int`` after one
+    ``__class__`` check, anything else ``operator.index`` takes converted,
+    and anything else a ``PreconditionError``."""
+    if n.__class__ is not int:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise PreconditionError(f"not a natural number: {n!r}") from None
+    if n < least:
+        raise PreconditionError(f"expected a natural number >= {least}, got {n}")
+    return n
+
+
+def check_model(x, cls) -> None:
+    """Raise ``PreconditionError`` unless x is an element of the model
+    ``cls``: the check at a public entry, before any walk reads an
+    attribute of x."""
+    if x.__class__ is not cls:
+        raise PreconditionError(f"expected a {cls.__name__}, got {type(x).__name__}")
 
 
 def fmt_rat(q) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .scalars import as_rat
+from .scalars import as_nat, as_rat
 
 
 class CharOneSemifield:
@@ -92,15 +92,11 @@ class CharOneSemifield:
         return self.neg(self.oplus(self.neg(x), self.neg(y)))
 
     def nat_mul(self, n: int, x):
-        if n < 0:
-            raise PreconditionError(f"nat_mul wants n >= 0, got {n}")
-        return self.scale(Fraction(n), x)
+        return self.scale(Fraction(as_nat(n, 0)), x)
 
     def div_by_nat(self, n: int, x):
         """Inverse of x -> n*x; exact because the action is perfect."""
-        if n < 1:
-            raise PreconditionError(f"div_by_nat wants n >= 1, got {n}")
-        return self.scale(Fraction(1, n), x)
+        return self.scale(Fraction(1, as_nat(n, 1)), x)
 
     def power_identity_check(self, n: int, x, y) -> bool:
         """Does n*(x oplus y) equal the oplus-fold of k*x + (n-k)*y, k = 0..n?
@@ -108,8 +104,7 @@ class CharOneSemifield:
         Holds in every lawful instance; exposed so the law suites can
         exercise it on random pairs.
         """
-        if n < 1:
-            raise PreconditionError(f"power identity wants n >= 1, got {n}")
+        n = as_nat(n, 1)
         left = self.scale(Fraction(n), self.oplus(x, y))
         right = None
         for k in range(n + 1):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import as_pair, as_rat, fmt_rat, parse_object, parse_rat
+from .scalars import as_pair, as_rat, check_model, fmt_rat, parse_object, parse_rat
 
 
 def __getattr__(name):  # ``char_eval`` of the convex model, re-exported on first use
@@ -123,6 +123,7 @@ def classify(f: PAF) -> Classification:
     absorbing iff the minimum is strictly positive, and then every
     character value is at least that minimum.
     """
+    check_model(f, PAF)
     m, big = f.min_value(), f.max_value()
     return Classification(
         nonneg=m >= 0,

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import (as_pair, as_rat, build, fmt_rat, parse_list, parse_object,
+from .scalars import (as_pair, as_rat, build, check_model, fmt_rat, parse_list, parse_object,
                       parse_pieces, parse_rat)
 
 
@@ -217,8 +217,11 @@ def kink(f: PAF, x) -> Fraction:
     if not f.lo < x < f.hi:
         raise PreconditionError("kinks are defined at interior points")
     i = bisect.bisect_left(f.breakpoints, x)
-    if f.breakpoints[i] != x:
-        return Fraction(0)
+    return _jump(f, i) if f.breakpoints[i] == x else Fraction(0)
+
+
+def _jump(f: PAF, i: int) -> Fraction:
+    """The slope jump at the interior breakpoint of index i."""
     return f.pieces[i][0] - f.pieces[i - 1][0]
 
 
@@ -248,8 +251,9 @@ def convexity_criterion(f: PAF) -> bool:
     """Membership test for the convex sub-semiring via valuations: f is
     convex iff the extended valuation of f - f(x)*E is nonnegative at
     every interior breakpoint x.  Subtracting a constant changes no slope,
-    so that valuation is the kink of f at x."""
-    return all(kink(f, x) >= 0 for x in f.breakpoints[1:-1])
+    so that valuation is the kink of f at x, read by index."""
+    check_model(f, PAF)
+    return all(_jump(f, i) >= 0 for i in range(1, len(f.breakpoints) - 1))
 
 
 def is_local_unit(f: PAF, x) -> bool:

@@ -1,8 +1,9 @@
-"""The library boundary: every scalar and every rational pair a library
-entry takes is read by ``scalars.as_rat`` or ``scalars.as_pair``, so a
-malformed one raises ``PreconditionError``; so does an element of the wrong
-model at the shared entry helpers.  The query forms keep their exact reader,
-``convex._int_pair``, which raises ``PreconditionError`` too."""
+"""The library boundary: every scalar, rational pair and natural number a
+library entry takes is read by ``scalars.as_rat``, ``scalars.as_pair`` or
+``scalars.as_nat``, so a malformed one raises ``PreconditionError``; so does
+an element of the wrong model at a public entry (``scalars.check_model``).
+The query forms keep their exact reader, ``convex._int_pair``, which raises
+``PreconditionError`` too."""
 
 import math
 from fractions import Fraction as F
@@ -13,15 +14,15 @@ from hypothesis import strategies as st
 
 from char1.congruence import ClosedSet, cutoff, dist_paf, quotient_norm
 from char1.convex import (Direction, FracBody, Polygon, PolygonFractionSemifield, char_eval,
-                          frac_scale, hull_union, minkowski)
+                          frac_equal, frac_oplus, frac_scale, hull_union, minkowski, r_norm_frac)
 from char1.errors import Char1Error, PreconditionError
 from char1.paf import PAF, PAFSemifield
-from char1.scalars import as_pair, as_rat, fmt_rat
+from char1.scalars import as_nat, as_pair, as_rat, fmt_rat
 from char1.semifield import SCALAR
-from char1.spectrum import PointEval, prescribe, separate
-from char1.valuation import (CirclePAF, Quad, germ, is_local_unit, k_defined_check, kink,
-                             local_morphism_check, restrict_to_arc, smooth_neighborhood,
-                             valuation_at)
+from char1.spectrum import PointEval, attain_norm, classify, prescribe, separate
+from char1.valuation import (CirclePAF, Quad, convexity_criterion, germ, is_local_unit,
+                             k_defined_check, kink, local_morphism_check, restrict_to_arc,
+                             smooth_neighborhood, valuation_at)
 
 f = PAF.identity()
 SQ = Polygon.square()
@@ -84,6 +85,25 @@ PROBES = {
     "quotient_norm-int": lambda: quotient_norm(f, K, 3),
     "hull_union-int": lambda: hull_union(SQ, 3),
     "minkowski-int": lambda: minkowski(SQ, 3),
+    "r_norm_frac-unit-int": lambda: r_norm_frac(FracBody.of(SQ), 3),
+    "r_norm_frac-int": lambda: r_norm_frac(3, SQ),
+    "attain_norm-unit-int": lambda: attain_norm(FracBody.of(SQ), 3),
+    "frac_oplus-int": lambda: frac_oplus(FracBody.of(SQ), 3),
+    "frac_equal-int": lambda: frac_equal(FracBody.of(SQ), 3),
+    "classify-int": lambda: classify(3),
+    "quotient_norm-f-int": lambda: quotient_norm(3, K),
+    "quotient_norm-k-int": lambda: quotient_norm(f, 3),
+    "convexity_criterion-int": lambda: convexity_criterion(3),
+    "nat_mul-str": lambda: SCALAR.nat_mul("x", 1),
+    "nat_mul-float": lambda: SCALAR.nat_mul(1.5, F(1)),
+    "nat_mul-fraction": lambda: SCALAR.nat_mul(F(3, 2), F(1)),
+    "nat_mul-negative": lambda: SCALAR.nat_mul(-1, F(1)),
+    "div_by_nat-str": lambda: SCALAR.div_by_nat("2", F(1)),
+    "div_by_nat-zero": lambda: SCALAR.div_by_nat(0, F(1)),
+    "power_identity_check-none": lambda: SCALAR.power_identity_check(None, F(1), F(2)),
+    "power_identity_check-float": lambda: SCALAR.power_identity_check(2.0, F(1), F(2)),
+    "as_nat-below": lambda: as_nat(0, 1),
+    "as_nat-object": lambda: as_nat(object(), 0),
 }
 
 
@@ -91,6 +111,17 @@ PROBES = {
 def test_a_malformed_argument_is_a_precondition_error(call):
     with pytest.raises(PreconditionError):
         call()
+
+
+def test_as_nat_keeps_an_int_and_reads_an_index():
+    n = 10**30
+    assert as_nat(n, 1) is n
+    assert as_nat(0, 0) == 0 and as_nat(True, 1) == 1
+    assert SCALAR.nat_mul(3, F(1, 2)) == F(3, 2) and SCALAR.div_by_nat(4, F(2)) == F(1, 2)
+    with pytest.raises(PreconditionError, match=r"^expected a natural number >= 1, got 0$"):
+        SCALAR.power_identity_check(0, F(1), F(2))
+    with pytest.raises(PreconditionError, match=r"^not a natural number: 1\.5$"):
+        SCALAR.nat_mul(1.5, F(1))
 
 
 def test_quad_division_by_zero_stays_arithmetic():
