@@ -20,8 +20,8 @@ from operator import itemgetter
 
 from .errors import PreconditionError
 from .paf import PAF
-from .scalars import (as_pair, as_rat, build, check_model, fmt_rat, parse_list, parse_object,
-                      parse_pair)
+from .scalars import (as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
+                      parse_object, parse_pair)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -33,7 +33,7 @@ class ClosedSet:
     intervals: tuple[Interval, ...]
 
     def __post_init__(self):
-        ivs = sorted(as_pair(iv, "an interval") for iv in self.intervals)
+        ivs = sorted(as_pair(iv, "an interval") for iv in as_items(self.intervals, "intervals"))
         if any(a > b for a, b in ivs):
             raise PreconditionError("intervals must satisfy a <= b")
         merged: list[list[Fraction]] = []
@@ -249,10 +249,9 @@ def cutoff(f: PAF, k: ClosedSet, slope=None) -> PAF:
 
 def _default_slope(f: PAF, big: Fraction | None = None) -> Fraction:
     """max(1, lip(f) / big) for the bump's level big = max(1, r(f)), if not given."""
-    lip = max(abs(a) for a, _ in f.pieces)
     if big is None:
         big = max(Fraction(1), f.r_norm())
-    return max(Fraction(1), lip / big)
+    return max(Fraction(1), f.lipschitz() / big)
 
 
 def split_vanishing(f: PAF, r1: RestrictionCongruence,

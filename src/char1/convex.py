@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .scalars import (as_pair, as_rat, build, check_model, fmt_rat, parse_list, parse_object,
-                      parse_pair)
+from .scalars import (as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
+                      parse_object, parse_pair)
 from .semifield import CharOneSemifield
 
 Point = tuple[Fraction, Fraction]
@@ -111,7 +111,7 @@ class Polygon:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = [as_pair(v, "a point") for v in self.vertices]
+        pts = [as_pair(v, "a point") for v in as_items(self.vertices, "vertices")]
         if not pts:
             raise PreconditionError("a polygon needs at least one vertex")
         den = math.lcm(*(c.denominator for v in pts for c in v))
@@ -136,7 +136,7 @@ class Polygon:
 
     @classmethod
     def hull(cls, points) -> "Polygon":
-        return cls(tuple(points))
+        return cls(points)
 
     @classmethod
     def origin(cls) -> "Polygon":
@@ -373,6 +373,7 @@ def r_norm_body(a: Polygon, e: Polygon) -> Fraction:
     The gauge of v, the least t >= 0 with v in t*E, is the largest
     <n, v> / (c / d) over the facets of E; it is r_norm_body of the point
     body {v}."""
+    check_model(a, Polygon)
     best, c_best = 0, 1
     for n, c in facets(e):
         top = a._isupport(*n)
@@ -386,8 +387,8 @@ def polar(e: Polygon) -> Polygon:
     facets run in its canonical vertex order, so no hull is taken.  Each
     vertex is reduced on its own, and the lcm of their denominators is the
     reduced common one, so no gcd is taken over the scaled coordinates."""
-    d = e._den
-    verts = tuple((Fraction(nx * d, c), Fraction(ny * d, c)) for (nx, ny), c in facets(e))
+    fs, d = facets(e), e._den  # facets checks e before its fields are read
+    verts = tuple((Fraction(nx * d, c), Fraction(ny * d, c)) for (nx, ny), c in fs)
     den = math.lcm(*(q.denominator for v in verts for q in v))
     return _store_hull([(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
                         for x, y in verts], den, vertices=verts)
@@ -397,6 +398,7 @@ def r_norm_euclidean(a: Polygon) -> float:
     """Euclidean-unit norm, float mode: the largest vertex norm, correctly
     rounded.  |v| * 2^k, past 55 bits, is floored in integers with a sticky
     bit for inexactness and rounded once by an int/int division."""
+    check_model(a, Polygon)
     n2 = max(x * x + y * y for x, y in a._iverts)
     den = a._den
     k = max(0, 56 + den.bit_length() - n2.bit_length() // 2)
@@ -418,6 +420,7 @@ def char_eval(psi, x, e: Polygon) -> Fraction:
     Fraction pairs evaluate to (l_A - l_B) / l_E.  The denominator is
     positive because the origin is strictly interior to E.
     """
+    check_model(x, Polygon, FracBody)
     facets(e)
     p, q, _ = _int_pair(psi.as_pair() if isinstance(psi, Direction) else psi)
     if p == 0 and q == 0:
@@ -442,6 +445,7 @@ class FracBody:
 
     def __post_init__(self):
         for side in (self.pos, self.neg):
+            check_model(side, Polygon)
             if not side.contains_origin():
                 raise PreconditionError("fraction bodies must contain the origin")
 
@@ -476,15 +480,19 @@ def frac_oplus(x: FracBody, y: FracBody) -> FracBody:
 
 
 def frac_plus(x: FracBody, y: FracBody) -> FracBody:
+    check_model(x, FracBody)
+    check_model(y, FracBody)
     return FracBody(minkowski(x.pos, y.pos), minkowski(x.neg, y.neg))
 
 
 def frac_neg(x: FracBody) -> FracBody:
+    check_model(x, FracBody)
     return FracBody(x.neg, x.pos)
 
 
 def frac_scale(q, x: FracBody) -> FracBody:
     q = as_rat(q)
+    check_model(x, FracBody)
     if q < 0:
         return frac_scale(-q, frac_neg(x))
     return FracBody(x.pos.dilate(q), x.neg.dilate(q))
@@ -526,6 +534,7 @@ def r_norm_frac(x: FracBody, e: Polygon) -> Fraction:
 
 def i_invariant(a: Polygon) -> bool:
     """Is the body fixed by multiplication by i (exact 90-degree rotation)?"""
+    check_model(a, Polygon)
     return a.rotate90() == a
 
 

@@ -1,9 +1,12 @@
 """Piecewise-affine functions on a closed rational interval under (max, +).
 
-A PAF is stored in canonical form: strictly increasing breakpoints from
-``lo`` to ``hi``, one exact (slope, intercept) pair per cell, adjacent
-cells never carrying the same pair.  Equality is structural equality of
-canonical forms, which makes the algebraic laws decidable exactly.
+A PAF is stored in canonical form, as integers only: ``_bps`` holds one
+reduced pair (x, y), y > 0, per breakpoint t = x/y, strictly increasing
+from ``lo`` to ``hi``; ``_pcs`` holds one reduced triple (n, m, d), d > 0,
+per cell, the piece t -> (n*t + m)/d, and adjacent cells never carry the
+same triple.  No denominator is shared.  Equal functions have equal
+integers, which makes the algebraic laws decidable exactly.  The views
+``breakpoints`` and ``pieces`` build the ``Fraction`` items read, and keep none.
 
 Norm procedures scan breakpoints only: an affine piece attains its
 extrema at the cell endpoints, so the pointwise max/min of a PAF over the
@@ -12,20 +15,22 @@ domain is the max/min over its breakpoints.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 from .errors import PreconditionError, SchemaError
-from .scalars import (as_pair, as_rat, build, check_model, fmt_rat, parse_list, parse_object,
-                      parse_pieces, parse_rat)
+from .scalars import (as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
+                      parse_object, parse_pieces, parse_rat)
 from .semifield import CharOneSemifield
 
 Piece = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PAF:
     """A continuous piecewise-affine function on [lo, hi]."""
 
@@ -33,25 +38,40 @@ class PAF:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        bps = tuple(as_rat(t) for t in self.breakpoints)
-        pcs = tuple(as_pair(pc, "a piece") for pc in self.pieces)
-        if len(bps) < 2:
+        """The one decoder of outside breakpoints and (slope, intercept) pairs:
+        checked in integers, equal neighbours merged, the raw fields dropped."""
+        raw = self.__dict__
+        ts = [as_rat(t) for t in as_items(raw.pop("breakpoints"), "breakpoints")]
+        pcs = [_triple(*as_pair(pc, "a piece")) for pc in as_items(raw.pop("pieces"), "pieces")]
+        if len(ts) < 2:
             raise PreconditionError("a PAF needs at least two breakpoints")
-        if len(pcs) != len(bps) - 1:
+        if len(pcs) != len(ts) - 1:
             raise PreconditionError("piece count must be breakpoint count - 1")
-        if any(u >= v for u, v in zip(bps, bps[1:])):
+        bps = [(t.numerator, t.denominator) for t in ts]
+        if any(x * v >= u * y for (x, y), (u, v) in zip(bps, bps[1:])):
             raise PreconditionError("breakpoints must be strictly increasing")
-        for i in range(1, len(pcs)):
-            t = bps[i]
-            a0, b0 = pcs[i - 1]
-            a1, b1 = pcs[i]
-            if a0 * t + b0 != a1 * t + b1:
-                raise PreconditionError(f"discontinuity at breakpoint {t}")
         merged_bps, merged_pcs = [bps[0]], []
-        for v, pc in zip(bps[1:], pcs):
+        for i, (v, pc) in enumerate(zip(bps[1:], pcs)):
+            if i and _gap(pcs[i - 1], pc, bps[i]):
+                raise PreconditionError(f"discontinuity at breakpoint {ts[i]}")
             _emit(merged_bps, merged_pcs, v, pc)
-        object.__setattr__(self, "breakpoints", tuple(merged_bps))
-        object.__setattr__(self, "pieces", tuple(merged_pcs))
+        raw.update(_bps=tuple(merged_bps), _pcs=tuple(merged_pcs))
+
+    def __getattr__(self, name):
+        # only the two views reach here: the stored fields are plain attributes
+        if name == "breakpoints":
+            return _View(self._bps, _rat)
+        if name == "pieces":
+            return _View(self._pcs, _piece)
+        raise AttributeError(name)
+
+    def __eq__(self, other):
+        if other.__class__ is not PAF:
+            return NotImplemented
+        return self._pcs == other._pcs and self._bps == other._bps
+
+    def __hash__(self):
+        return hash((self._bps, self._pcs))
 
     # -- constructors: continuous by construction, so each checks only the
     # order of its breakpoints; from_samples merges collinear cells by _emit
@@ -66,7 +86,8 @@ class PAF:
         lo, hi = as_rat(lo), as_rat(hi)
         if lo >= hi:
             raise PreconditionError("breakpoints must be strictly increasing")
-        return _unchecked((lo, hi), ((as_rat(a), as_rat(b)),))
+        return _store(((lo.numerator, lo.denominator), (hi.numerator, hi.denominator)),
+                      (_triple(as_rat(a), as_rat(b)),))
 
     @classmethod
     def identity(cls, lo=0, hi=1) -> "PAF":
@@ -75,31 +96,31 @@ class PAF:
     @classmethod
     def from_samples(cls, samples) -> "PAF":
         """Piecewise-linear interpolation of sorted (t, value) pairs: with
-        t = x/y and value p/q, each chord is two reductions over
+        t = x/y and value p/q, each chord is one reduction of a triple over
         D = q0*q1*(x1*y0 - x0*y1), whose sign checks the order."""
-        pts = [as_pair(s, "a sample") for s in samples]
+        pts = [as_pair(s, "a sample") for s in as_items(samples, "samples")]
         if len(pts) < 2:
             raise PreconditionError("need at least two sample points")
-        bps, pcs = [pts[0][0]], []
         ints = [(t.numerator, t.denominator, v.numerator, v.denominator) for t, v in pts]
-        for (x0, y0, p0, q0), (x1, y1, p1, q1), (t, _) in zip(ints, ints[1:], pts[1:]):
-            dt = x1 * y0 - x0 * y1
-            if dt <= 0:
+        bps, pcs = [ints[0][:2]], []
+        for (x0, y0, p0, q0), (x1, y1, p1, q1) in zip(ints, ints[1:]):
+            d = q0 * q1 * (x1 * y0 - x0 * y1)
+            if d <= 0:
                 raise PreconditionError("sample points must be strictly increasing")
-            den = q0 * q1 * dt
-            _emit(bps, pcs, t, (Fraction((p1 * q0 - p0 * q1) * y0 * y1, den),
-                                Fraction(p0 * q1 * x1 * y0 - p1 * q0 * x0 * y1, den)))
-        return _unchecked(bps, pcs)
+            n, m = (p1 * q0 - p0 * q1) * y0 * y1, p0 * q1 * x1 * y0 - p1 * q0 * x0 * y1
+            g = gcd(d, n, m)
+            _emit(bps, pcs, (x1, y1), (n // g, m // g, d // g))
+        return _store(bps, pcs)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def lo(self) -> Fraction:
-        return self.breakpoints[0]
+        return _rat(self._bps[0])
 
     @property
     def hi(self) -> Fraction:
-        return self.breakpoints[-1]
+        return _rat(self._bps[-1])
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -107,25 +128,23 @@ class PAF:
 
     def _cell_index(self, t: Fraction) -> int:
         # rightmost cell whose left endpoint is <= t; t == hi lands in the last
-        i = bisect.bisect_right(self.breakpoints, t) - 1
-        return min(i, len(self.pieces) - 1)
+        return min(bisect_right(self._bps, 0, key=_minus(t)), len(self._pcs)) - 1
 
     def eval(self, t) -> Fraction:
         t = as_rat(t)
-        if not self.lo <= t <= self.hi:
+        (x0, y0), (x1, y1), x, y = self._bps[0], self._bps[-1], t.numerator, t.denominator
+        if x * y0 < x0 * y or x * y1 > x1 * y:
             raise PreconditionError(f"{t} outside domain [{self.lo}, {self.hi}]")
-        a, b = self.pieces[self._cell_index(t)]
-        return a * t + b
+        n, m, d = self._pcs[self._cell_index(t)]
+        return Fraction(n * x + m * y, d * y)
 
     __call__ = eval
 
     def _values(self) -> list[tuple[int, int]]:
         """f at each breakpoint as integers (num, den), den > 0: with the
         piece (n*t + m)/d and t = x/y, f(t) = (n*x + m*y) / (d*y)."""
-        ints = _integer_pieces(self.pieces)
-        ints.append(ints[-1])  # the last breakpoint closes the last piece
-        return [(n * t.numerator + m * t.denominator, d * t.denominator)
-                for (n, m, d), t in zip(ints, self.breakpoints)]
+        pcs = self._pcs + self._pcs[-1:]  # the last breakpoint closes the last piece
+        return [(n * x + m * y, d * y) for (n, m, d), (x, y) in zip(pcs, self._bps)]
 
     def min_value(self) -> Fraction:
         return -_first_max([(-num, den) for num, den in self._values()])[1]
@@ -137,82 +156,90 @@ class PAF:
 
     def _check_domain(self, other: "PAF"):
         check_model(other, PAF)
-        if self.domain != other.domain:
+        if self._bps[0] != other._bps[0] or self._bps[-1] != other._bps[-1]:
             raise PreconditionError(
                 f"domain mismatch: [{self.lo}, {self.hi}] vs [{other.lo}, {other.hi}]"
             )
 
     def _merged_cells(self, other: "PAF"):
         """Yield (v, i, j) for each cell [u, v] of the merged grid, in order,
-        where pieces i of self and j of other hold on the cell: a
-        two-pointer walk over both breakpoint tuples, which share their
-        first and last entries, comparing breakpoints by integer
-        cross-multiplication."""
-        xs, ys = self.breakpoints, other.breakpoints
-        xk, yk = ([(t.numerator, t.denominator) for t in ts] for ts in (xs, ys))
+        with v a breakpoint pair and pieces i of self and j of other holding
+        on the cell: a two-pointer walk over both breakpoint tuples (which
+        share their ends), comparing by cross-multiplication."""
+        xs, ys = self._bps, other._bps
         i = j = 1
         while i < len(xs):
-            (p, q), (r, s) = xk[i], yk[j]
+            (p, q), (r, s) = xs[i], ys[j]
             c = p * s - r * q  # the sign of x - y for x = p/q, y = r/s
             yield (xs[i] if c <= 0 else ys[j]), i - 1, j - 1
             i, j = i + (c <= 0), j + (c >= 0)  # step past the smaller, or past both
 
     def _envelope(self, other: "PAF", sign: int) -> "PAF":
-        """The upper envelope of sign*self and sign*other, times sign: the
-        pointwise max for sign 1, the pointwise min for sign -1, with
-        crossing points inserted exactly.
-
-        Only the sign of D = sign*(self - other) is needed at each grid
-        point, and D is continuous, so the sign at v read from the cell
-        that ends there is also the sign where the next cell starts: one
-        integer sign test per grid point (du, dv are D scaled by positive
-        integers), and a division only where D changes sign.
-        """
+        """The pointwise max (sign 1) or min (sign -1), crossings inserted
+        exactly.  D = sign*(self - other) is continuous, so its sign at v,
+        read from the cell that ends there, holds where the next cell
+        starts: one integer sign test per grid point (du, dv are D times
+        positive integers), and a reduction only where D changes sign."""
         self._check_domain(other)
-        ps, qs = self.pieces, other.pieces
-        fs, gs = _integer_pieces(ps), _integer_pieces(qs)
-        bps, pcs = [self.lo], []
-        du = sign * _gap(fs[0], gs[0], self.lo)
+        ps, qs = self._pcs, other._pcs
+        bps, pcs = [self._bps[0]], []
+        du = sign * _gap(ps[0], qs[0], bps[0])
         for v, i, j in self._merged_cells(other):
-            dv = sign * _gap(fs[i], gs[j], v)
+            p, q = ps[i], qs[j]
+            dv = sign * _gap(p, q, v)
             if du >= 0 and dv >= 0:
-                _emit(bps, pcs, v, ps[i])
+                _emit(bps, pcs, v, p)
             elif du <= 0 and dv <= 0:
-                _emit(bps, pcs, v, qs[j])
-            else:  # a strict sign change forces different slopes
-                (a1, b1), (a2, b2) = ps[i], qs[j]
-                first, second = (ps[i], qs[j]) if du > 0 else (qs[j], ps[i])
-                _emit(bps, pcs, (b2 - b1) / (a1 - a2), first)
-                _emit(bps, pcs, v, second)
+                _emit(bps, pcs, v, q)
+            else:  # a strict sign change forces different slopes: p = q at x/y
+                (n1, m1, d1), (n2, m2, d2) = p, q
+                x, y = m2 * d1 - m1 * d2, n1 * d2 - n2 * d1
+                g = gcd(x, y) if y > 0 else -gcd(x, y)
+                _emit(bps, pcs, (x // g, y // g), p if du > 0 else q)
+                _emit(bps, pcs, v, q if du > 0 else p)
             du = dv
-        return _unchecked(bps, pcs)
+        return _store(bps, pcs)
 
     def oplus(self, other: "PAF") -> "PAF":
         """Pointwise max, with crossing points inserted exactly."""
         return self._envelope(other, 1)
 
     def __add__(self, other: "PAF") -> "PAF":
+        """Piecewise sums over the lcm d1*d2/e, e = gcd(d1, d2): both input
+        triples are reduced, so gcd(n, m, lcm) divides e, and the reduction
+        is a gcd with the small e."""
         self._check_domain(other)
-        ps, qs = self.pieces, other.pieces
-        bps, pcs = [self.lo], []
+        ps, qs = self._pcs, other._pcs
+        bps, pcs = [self._bps[0]], []
         for v, i, j in self._merged_cells(other):
-            (a1, b1), (a2, b2) = ps[i], qs[j]
-            _emit(bps, pcs, v, (a1 + a2, b1 + b2))
-        return _unchecked(bps, pcs)
+            (n1, m1, d1), (n2, m2, d2) = ps[i], qs[j]
+            e = gcd(d1, d2)
+            e1, e2 = d1 // e, d2 // e
+            n, m = n1 * e2 + n2 * e1, m1 * e2 + m2 * e1
+            g = gcd(e, n, m)
+            _emit(bps, pcs, v, (n // g, m // g, d1 * e2 // g))
+        return _store(bps, pcs)
 
     def __neg__(self) -> "PAF":
         # negation preserves canonical form
-        return _unchecked(self.breakpoints, [(-a, -b) for a, b in self.pieces])
+        return _store(self._bps, [(-n, -m, d) for n, m, d in self._pcs])
 
     def __sub__(self, other: "PAF") -> "PAF":
         return self + (-other)
 
     def scale(self, q) -> "PAF":
-        """Pointwise multiplication by the rational q."""
+        """Pointwise multiplication by the rational q = r/s: with
+        gcd(n, m, d) = gcd(r, s) = 1, the triple (r*n, r*m, s*d) has the gcd
+        gcd(r, d) * gcd(s, n, m), so no gcd is taken on the product."""
         q = as_rat(q)
-        if q == 0:
-            return PAF.constant(0, self.lo, self.hi)
-        return _unchecked(self.breakpoints, [(q * a, q * b) for a, b in self.pieces])
+        r, s = q.numerator, q.denominator
+        if r == 0:
+            return _store((self._bps[0], self._bps[-1]), ((0, 0, 1),))
+        pcs = []
+        for n, m, d in self._pcs:
+            g, h = gcd(r, d), gcd(s, n, m)
+            pcs.append((r // g * (n // h), r // g * (m // h), s // h * (d // g)))
+        return _store(self._bps, pcs)
 
     def tropical_min(self, other: "PAF") -> "PAF":
         """Pointwise min, the dual of oplus, with crossing points inserted exactly."""
@@ -231,6 +258,10 @@ class PAF:
         """(i, |f(t_i)|) for the first breakpoint t_i where |f| is largest."""
         return _first_max([(abs(num), den) for num, den in self._values()])
 
+    def lipschitz(self) -> Fraction:
+        """The largest |slope|."""
+        return _first_max([(abs(n), d) for n, _, d in self._pcs])[1]
+
     def weighted_norms(self) -> tuple[Fraction, Fraction]:
         """(gauge, lipschitz) in the anchored model on [0, 1] with unit t -> t.
 
@@ -239,20 +270,19 @@ class PAF:
         exceeds lipschitz, but only gauge contracts under max-differences
         (tests carry an explicit counterexample for the other).
         """
-        if self.domain != (Fraction(0), Fraction(1)):
+        if self._bps[0] != (0, 1) or self._bps[-1] != (1, 1):
             raise PreconditionError("weighted norms are defined on [0, 1]")
         vals = self._values()
         if vals[0][0] != 0:
             raise PreconditionError("weighted norms require f(0) = 0")
         # |f(t)|/t = |num|*y / (den*x) at t = x/y > 0, every breakpoint after 0
-        gauge = _first_max([(abs(num) * t.denominator, den * t.numerator)
-                            for (num, den), t in zip(vals[1:], self.breakpoints[1:])])[1]
-        lipschitz = max(abs(a) for a, _ in self.pieces)
-        return gauge, lipschitz
+        gauge = _first_max([(abs(num) * y, den * x)
+                            for (num, den), (x, y) in zip(vals[1:], self._bps[1:])])[1]
+        return gauge, self.lipschitz()
 
     def is_convex(self) -> bool:
-        slopes = [a for a, _ in self.pieces]
-        return all(s <= t for s, t in zip(slopes, slopes[1:]))
+        pcs = self._pcs
+        return all(n0 * d1 <= n1 * d0 for (n0, _, d0), (n1, _, d1) in zip(pcs, pcs[1:]))
 
     def clamp(self, c) -> "PAF":
         """max(min(f, c), -c): the minimal-norm function agreeing with f on {|f| <= c}."""
@@ -269,8 +299,9 @@ class PAF:
         a, b = as_rat(a), as_rat(b)
         if not (self.lo <= a < b <= self.hi):
             raise PreconditionError(f"[{a}, {b}] is not a subinterval of the domain")
-        i, j = self._cell_index(a), bisect.bisect_left(self.breakpoints, b)
-        return _unchecked((a, *self.breakpoints[i + 1:j], b), self.pieces[i:j])
+        i, j = self._cell_index(a), bisect_left(self._bps, 0, key=_minus(b))
+        return _store(((a.numerator, a.denominator), *self._bps[i + 1:j],
+                       (b.numerator, b.denominator)), self._pcs[i:j])
 
     def compose_affine(self, alpha, beta, lo, hi) -> "PAF":
         """The pullback t -> f(alpha*t + beta) on [lo, hi]."""
@@ -307,16 +338,72 @@ class PAF:
         return build(cls, bps, pcs)
 
 
-def _emit(bps: list, pcs: list, v: Fraction, pc: Piece) -> None:
-    """Close a cell at v with the piece pc, merging it into the previous
-    cell when the two pieces are equal: the one step by which
-    ``__post_init__`` and every operation that can make equal neighbours
-    reach canonical form."""
+class _View(Sequence):
+    """A read-only sequence over a stored integer tuple: each item read is
+    built by ``make`` and not kept.  It equals the tuple of its items and
+    prints as that tuple."""
+
+    __slots__ = ("_items", "_make")
+
+    def __init__(self, items: tuple, make):
+        self._items, self._make = items, make
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if i.__class__ is slice:
+            return tuple(map(self._make, self._items[i]))
+        return self._make(self._items[i])
+
+    def __iter__(self):
+        return map(self._make, self._items)
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _View)) else NotImplemented
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+def _rat(p) -> Fraction:
+    return Fraction(p[0], p[1])
+
+
+def _piece(p) -> Piece:
+    return Fraction(p[0], p[2]), Fraction(p[1], p[2])
+
+
+def _triple(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """The piece t -> a*t + b as (n, m, d) over d = lcm(a.den, b.den): reduced already."""
+    da, db = a.denominator, b.denominator
+    d = da // gcd(da, db) * db
+    return a.numerator * (d // da), b.numerator * (d // db), d
+
+
+def _store(bps, pcs) -> PAF:
+    """A PAF, made without ``__post_init__``, holding the canonical integer
+    form: the path by which every constructor and walk emits one."""
+    f = object.__new__(PAF)
+    f.__dict__.update(_bps=tuple(bps), _pcs=tuple(pcs))
+    return f
+
+
+def _emit(bps: list, pcs: list, v, pc) -> None:
+    """Close a cell at the breakpoint pair v with the piece triple pc,
+    merging it into the previous cell when the two triples are equal: the
+    one step by which ``__post_init__`` and every operation that can make
+    equal neighbours reach canonical form."""
     if pcs and pcs[-1] == pc:
         bps[-1] = v
     else:
         bps.append(v)
         pcs.append(pc)
+
+
+def _minus(t: Fraction):
+    """A bisect key on breakpoint pairs (x, y), searched for 0: x/y - t times y*t.den."""
+    return lambda p: p[0] * t.denominator - t.numerator * p[1]
 
 
 def _first_max(pairs) -> tuple[int, Fraction]:
@@ -329,28 +416,10 @@ def _first_max(pairs) -> tuple[int, Fraction]:
     return best, Fraction(top, bottom)
 
 
-def _integer_pieces(pcs) -> list[tuple[int, int, int]]:
-    """Each piece (a, b) as integers (n, m, d) with a = n/d, b = m/d, d > 0."""
-    out = []
-    for a, b in pcs:
-        da, db = a.denominator, b.denominator
-        out.append((a.numerator * db, b.numerator * da, da * db))
-    return out
-
-
-def _gap(p, q, t: Fraction) -> int:
-    """p(t) - q(t) for integer pieces p, q, times a positive integer."""
-    (n1, m1, d1), (n2, m2, d2) = p, q
-    x, y = t.numerator, t.denominator
+def _gap(p, q, t) -> int:
+    """p(t) - q(t) for piece triples p, q at the breakpoint pair t, times d1*d2*y > 0."""
+    (n1, m1, d1), (n2, m2, d2), (x, y) = p, q, t
     return (n1 * x + m1 * y) * d2 - (n2 * x + m2 * y) * d1
-
-
-def _unchecked(bps, pcs) -> PAF:
-    """A PAF from breakpoints and pieces already canonical and continuous."""
-    f = object.__new__(PAF)
-    object.__setattr__(f, "breakpoints", tuple(bps))
-    object.__setattr__(f, "pieces", tuple(pcs))
-    return f
 
 
 def convex_split(f: PAF) -> tuple[PAF, PAF]:

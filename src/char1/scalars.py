@@ -9,9 +9,10 @@ on input and on output.
 Every decoder reads its object through ``parse_object`` and builds its
 value through ``build``, so a bad wire object raises ``SchemaError``.
 Inside the library every scalar argument is read by ``as_rat``, every
-rational pair by ``as_pair`` and every natural number by ``as_nat``, and
-an element at a public entry is checked by ``check_model``, so a bad one
-raises ``PreconditionError``.
+rational pair by ``as_pair``, every sequence a constructor takes by
+``as_items`` and every natural number by ``as_nat``, and an element at a
+public entry is checked by ``check_model``, so a bad one raises
+``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -110,14 +111,24 @@ def as_rat(v) -> Fraction:
         raise PreconditionError(f"not a rational: {v!r}") from None
 
 
-def as_pair(v, what: str) -> tuple[Fraction, Fraction]:
-    """A library pair of scalars, each read by ``as_rat``.  ``what`` names
-    the pair in the error message."""
+def as_pair(v, what: str, read=as_rat) -> tuple:
+    """A library pair of scalars, each read by ``read`` (by default
+    ``as_rat``).  ``what`` names the pair in the error message."""
     try:
         a, b = v
-        return as_rat(a), as_rat(b)
+        return read(a), read(b)
     except (TypeError, ValueError):  # a PreconditionError is a ValueError
         raise PreconditionError(f"{what} must be a pair of ints or Fractions") from None
+
+
+def as_items(v, what: str) -> tuple:
+    """A library sequence argument as a tuple, and anything that is not
+    iterable a ``PreconditionError``.  ``what`` names it in the error
+    message."""
+    try:
+        return tuple(v)
+    except TypeError:
+        raise PreconditionError(f"{what} must be a sequence, got {type(v).__name__}") from None
 
 
 def as_nat(n, least: int) -> int:
@@ -134,12 +145,13 @@ def as_nat(n, least: int) -> int:
     return n
 
 
-def check_model(x, cls) -> None:
-    """Raise ``PreconditionError`` unless x is an element of the model
-    ``cls``: the check at a public entry, before any walk reads an
-    attribute of x."""
-    if x.__class__ is not cls:
-        raise PreconditionError(f"expected a {cls.__name__}, got {type(x).__name__}")
+def check_model(x, *classes) -> None:
+    """Raise ``PreconditionError`` unless x is an element of one of the
+    models ``classes``: the check at a public entry, before any walk reads
+    an attribute of x."""
+    if x.__class__ not in classes:
+        names = " or ".join(cls.__name__ for cls in classes)
+        raise PreconditionError(f"expected a {names}, got {type(x).__name__}")
 
 
 def fmt_rat(q) -> str:

@@ -131,7 +131,7 @@ class ScalarTrop(CharOneSemifield):
         return -x
 
     def scale(self, q, x):
-        return as_rat(q) * x
+        return as_rat(q) * as_rat(x)
 
     @property
     def zero(self):

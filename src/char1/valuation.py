@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import (as_pair, as_rat, build, check_model, fmt_rat, parse_list, parse_object,
-                      parse_pieces, parse_rat)
+from .scalars import (as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
+                      parse_object, parse_pieces, parse_rat)
 
 
 # -- the quadratic field Q(sqrt 2) ----------------------------------------------
@@ -216,13 +216,15 @@ def kink(f: PAF, x) -> Fraction:
     x = as_rat(x)
     if not f.lo < x < f.hi:
         raise PreconditionError("kinks are defined at interior points")
-    i = bisect.bisect_left(f.breakpoints, x)
-    return _jump(f, i) if f.breakpoints[i] == x else Fraction(0)
+    i = f._cell_index(x)
+    return Fraction(*_jump(f, i)) if f._bps[i] == (x.numerator, x.denominator) else Fraction(0)
 
 
-def _jump(f: PAF, i: int) -> Fraction:
-    """The slope jump at the interior breakpoint of index i."""
-    return f.pieces[i][0] - f.pieces[i - 1][0]
+def _jump(f: PAF, i: int) -> tuple[int, int]:
+    """The slope jump at the interior breakpoint of index i, as integers
+    (num, den), den > 0, read from the stored piece triples."""
+    (n0, _, d0), (n1, _, d1) = f._pcs[i - 1], f._pcs[i]
+    return n1 * d0 - n0 * d1, d0 * d1
 
 
 def _shifted_valuation(f: PAF, x: Fraction) -> Fraction:
@@ -253,7 +255,7 @@ def convexity_criterion(f: PAF) -> bool:
     every interior breakpoint x.  Subtracting a constant changes no slope,
     so that valuation is the kink of f at x, read by index."""
     check_model(f, PAF)
-    return all(_jump(f, i) >= 0 for i in range(1, len(f.breakpoints) - 1))
+    return all(_jump(f, i)[0] >= 0 for i in range(1, len(f._pcs)))
 
 
 def is_local_unit(f: PAF, x) -> bool:
@@ -357,8 +359,8 @@ class CirclePAF:
     pieces: tuple[tuple[Quad, Quad], ...]
 
     def __post_init__(self):
-        bps = [Quad._coerce(t) for t in self.breakpoints]
-        pcs = [(Quad._coerce(a), Quad._coerce(b)) for a, b in self.pieces]
+        bps = [Quad._coerce(t) for t in as_items(self.breakpoints, "breakpoints")]
+        pcs = [as_pair(pc, "a piece", Quad._coerce) for pc in as_items(self.pieces, "pieces")]
         if not bps:
             raise PreconditionError("a circle section needs a breakpoint")
         if len(pcs) != len(bps):
@@ -400,7 +402,7 @@ class CirclePAF:
         smallest breakpoint is ignored (the wrap determines it), and the
         constructor raises unless the data closes up around the circle.
         """
-        pts = sorted(((Quad._coerce(t), Quad._coerce(k)) for t, k in kinks),
+        pts = sorted((as_pair(tk, "a kink", Quad._coerce) for tk in as_items(kinks, "kinks")),
                      key=lambda p: p[0])
         if not pts:
             return cls.constant(start_value)

@@ -1,5 +1,5 @@
-"""The build kernel (PAF oplus, tropical_min, +, clamp and the Minkowski
-sum) against brute-force references.
+"""The build kernel (PAF oplus, tropical_min, +, scale, clamp and the
+Minkowski sum) against brute-force references.
 
 The PAF references never call the operation under test: they evaluate the
 inputs pointwise on the merged breakpoint grid, refined by every point
@@ -84,6 +84,12 @@ def check_tropical_min(f, g):
 def check_add(f, g):
     out = f + g
     assert_matches(out, lambda t: f.eval(t) + g.eval(t), merged_grid(f, g), f.lo, f.hi)
+    return out
+
+
+def check_scale(f, q):
+    out = f.scale(q)
+    assert_matches(out, lambda t: q * f.eval(t), list(f.breakpoints), f.lo, f.hi)
     return out
 
 
@@ -176,9 +182,11 @@ def test_fold_chain_past_400_bits():
     for _ in range(40):
         g, h = grid_paf(rng, 4), grid_paf(rng, 4)
         q = F(rng.randint(900, 1100) | 1, rng.randint(2**9, 2**10) | 1)
-        f = check_add(check_oplus(f, g), h).scale(q)
+        f = check_scale(check_add(check_oplus(f, g), h), q)
     assert max(max(abs(a.numerator).bit_length(), b.denominator.bit_length())
                for a, b in f.pieces) > 400
+    for q in (-q, F(-1), F(0), F(-3, 2**400 + 1)):
+        check_scale(f, q)
 
 
 # -- PAF tropical_min, the same walk with the sign flipped -------------------------------
@@ -214,6 +222,55 @@ def test_min_random_and_at_512_breakpoints():
     rng = random.Random(13)
     f, g = grid_paf(rng, 512), grid_paf(rng, 512)
     assert len(check_tropical_min(f, g).breakpoints) > 512
+
+
+# -- PAF scale ---------------------------------------------------------------------------
+
+
+def test_scale_by_zero_negative_and_positive_rationals():
+    assert check_scale(HAT, 0) == PAF.constant(0)
+    assert check_scale(HAT, -1) == -HAT
+    assert check_scale(HAT, F(-2, 3)).pieces == ((F(2, 3), F(-1, 3)), (F(-2, 3), F(1, 3)))
+    rng = random.Random(18)
+    for _ in range(150):
+        f = random_paf(rng, max_cuts=rng.randint(0, 8), value_lim=rng.choice([1, 2, 8]))
+        check_scale(f, F(rng.randint(-12, 12), rng.randint(1, 12)))
+
+
+def test_scale_at_512_breakpoints():
+    rng = random.Random(19)
+    f = grid_paf(rng, 512)
+    for q in (F(0), F(-1), F(7, 3), F(-999_999, 999_983), F(10**6, 7)):
+        check_scale(f, q)
+
+
+# -- the stored integers -----------------------------------------------------------------
+
+
+def assert_reduced(h):
+    """Every stored breakpoint pair (x, y) and piece triple (n, m, d) is
+    reduced with a positive denominator, and decoding the views again gives
+    the same integers."""
+    assert all(y > 0 and math.gcd(x, y) == 1 for x, y in h._bps)
+    assert all(d > 0 and math.gcd(n, m, d) == 1 for n, m, d in h._pcs)
+    assert all(type(c) is int for item in h._bps + h._pcs for c in item)
+    assert PAF(h.breakpoints, h.pieces) == h
+
+
+def test_every_operation_stores_reduced_integers():
+    rng = random.Random(21)
+    for _ in range(150):
+        f = random_paf(rng, max_cuts=rng.randint(0, 8), value_lim=rng.choice([1, 2, 8]))
+        g = random_paf(rng, max_cuts=rng.randint(0, 8), value_lim=rng.choice([1, 2, 8]))
+        q = F(rng.randint(-12, 12), rng.randint(1, 12))
+        samples = [(t, F(rng.randint(-30, 30), rng.randint(1, 30))) for t in f.breakpoints]
+        for h in (f.oplus(g), f.tropical_min(g), f + g, f.scale(q), f.clamp(abs(q)), -f,
+                  PAF.from_samples(samples), f - g):
+            assert_reduced(h)
+    f = grid_paf(rng, 16)
+    for _ in range(40):
+        f = (f.oplus(grid_paf(rng, 4)) + grid_paf(rng, 4)).scale(F(-1001, 2**9 + 1))
+        assert_reduced(f)
 
 
 # -- PAF clamp ---------------------------------------------------------------------------

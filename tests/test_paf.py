@@ -1,3 +1,4 @@
+import bisect
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,32 @@ HAT = PAF.affine(1, F(-1, 2)).oplus(PAF.affine(-1, F(1, 2)))  # max(t-1/2, 1/2-t
 
 def grid(n=200):
     return [F(i, n) for i in range(n + 1)]
+
+
+def test_views_read_like_the_old_tuples():
+    f = PAF.from_samples([(0, 1), (F(1, 3), F(-1, 2)), (F(3, 4), 2), (1, 0)])
+    old_bps = (F(0), F(1, 3), F(3, 4), F(1))
+    old_pcs = ((F(-9, 2), F(1)), (F(6), F(-5, 2)), (F(-8), F(8)))
+    bps, pcs = f.breakpoints, f.pieces
+    assert (len(bps), len(pcs)) == (4, 3)
+    assert (bps[-1], bps[-3], pcs[-1], pcs[0]) == (F(1), F(1, 3), old_pcs[-1], old_pcs[0])
+    with pytest.raises(IndexError):
+        bps[4]
+    assert bps[1:-1] == (F(1, 3), F(3, 4)) and type(bps[1:-1]) is tuple
+    assert pcs[:2] == old_pcs[:2] and pcs[::-1] == old_pcs[::-1]
+    assert list(bps) == list(old_bps) and list(pcs) == list(old_pcs)
+    assert all(type(t) is F for t in bps) and all(type(c) is F for pc in pcs for c in pc)
+    assert bps == old_bps and old_bps == bps and pcs == old_pcs and not bps != old_bps
+    assert bps != old_bps[:-1] and pcs != list(old_pcs) and bps == f.breakpoints
+    assert set(bps) == set(old_bps) and F(3, 4) in bps and F(1, 2) not in bps
+    for t in (F(-1), F(0), F(1, 3), F(1, 2), F(1), F(2)):
+        assert bisect.bisect_right(bps, t) == bisect.bisect_right(old_bps, t)
+        assert bisect.bisect_left(bps, t) == bisect.bisect_left(old_bps, t)
+    assert repr(bps) == repr(old_bps) and repr(pcs) == repr(old_pcs)
+    assert repr(f) == f"PAF(breakpoints={old_bps!r}, pieces={old_pcs!r})"
+    # nothing read is kept: the instance holds the integer form only
+    assert vars(f) == {"_bps": ((0, 1), (1, 3), (3, 4), (1, 1)),
+                       "_pcs": ((-9, 2, 2), (12, -5, 2), (-8, 8, 1))}
 
 
 def test_eval_examples():

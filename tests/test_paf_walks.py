@@ -101,7 +101,8 @@ def coarsened(rng, f, keep):
 
 
 def check_merge(f, g):
-    cells = list(f._merged_cells(g))
+    # the walk yields each grid point as its stored pair (x, y), t = x/y
+    cells = [(F(*v), i, j) for v, i, j in f._merged_cells(g)]
     assert cells == fraction_merge(f, g)
     assert [v for v, _, _ in cells] == sorted(set(f.breakpoints) | set(g.breakpoints))[1:]
     u = f.lo

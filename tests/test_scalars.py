@@ -1,7 +1,8 @@
-"""The library boundary: every scalar, rational pair and natural number a
-library entry takes is read by ``scalars.as_rat``, ``scalars.as_pair`` or
-``scalars.as_nat``, so a malformed one raises ``PreconditionError``; so does
-an element of the wrong model at a public entry (``scalars.check_model``).
+"""The library boundary: every scalar, rational pair, sequence and natural
+number a library entry takes is read by ``scalars.as_rat``,
+``scalars.as_pair``, ``scalars.as_items`` or ``scalars.as_nat``, so a
+malformed one raises ``PreconditionError``; so does an element of the wrong
+model at a public entry (``scalars.check_model``).
 The query forms keep their exact reader, ``convex._int_pair``, which raises
 ``PreconditionError`` too."""
 
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 from char1.congruence import ClosedSet, cutoff, dist_paf, quotient_norm
 from char1.convex import (Direction, FracBody, Polygon, PolygonFractionSemifield, char_eval,
-                          frac_equal, frac_oplus, frac_scale, hull_union, minkowski, r_norm_frac)
+                          frac_equal, frac_neg, frac_oplus, frac_plus, frac_scale, hull_union,
+                          i_invariant, minkowski, polar, r_norm_body, r_norm_euclidean,
+                          r_norm_frac)
 from char1.errors import Char1Error, PreconditionError
 from char1.paf import PAF, PAFSemifield
 from char1.scalars import as_nat, as_pair, as_rat, fmt_rat
@@ -60,6 +63,9 @@ PROBES = {
     "PAF-zero-den": lambda: PAF((0, "1/0"), ((1, 0),)),
     "PAF-piece-single": lambda: PAF((0, 1), ((1,),)),
     "PAF-breakpoint-tuple": lambda: PAF(((0,), (1,)), ((1, 0),)),
+    "PAF-breakpoints-int": lambda: PAF(5, ((1, 0),)),
+    "PAF-pieces-int": lambda: PAF((0, 1), 5),
+    "PAF.from_samples-int": lambda: PAF.from_samples(5),
     "PAF.from_samples-single": lambda: PAF.from_samples([(0,), (1, 1)]),
     "PAF.constant-nan": lambda: PAF.constant(float("nan")),
     "PAF.constant-none": lambda: PAF.constant(None),
@@ -73,10 +79,18 @@ PROBES = {
     "Polygon.dilate": lambda: Polygon.square().dilate("x"),
     "fmt_rat": lambda: fmt_rat("x"),
     "ClosedSet-single": lambda: ClosedSet([(0,)]),
+    "ClosedSet-int": lambda: ClosedSet(5),
+    "Polygon-int": lambda: Polygon(5),
+    "Polygon.hull-int": lambda: Polygon.hull(5),
+    "CirclePAF-piece-single": lambda: CirclePAF((0,), ((1,),)),
+    "CirclePAF-breakpoints-int": lambda: CirclePAF(5, ((0, 1),)),
+    "CirclePAF.from_kinks-single": lambda: CirclePAF.from_kinks(0, 0, [(0,)]),
+    "CirclePAF.from_kinks-int": lambda: CirclePAF.from_kinks(0, 0, 5),
     "ClosedSet.of": lambda: ClosedSet.of(("x", 1)),
     "ClosedSet.contains": lambda: ClosedSet.point(0).contains("x"),
     "PointEval": lambda: PointEval("x"),
     "SCALAR.scale": lambda: SCALAR.scale("x", F(1)),
+    "SCALAR.scale-element": lambda: SCALAR.scale(1, "x"),
     "cutoff-slope": lambda: cutoff(f, ClosedSet.point(0), "x"),
     "PAF.oplus-int": lambda: f.oplus(3),
     "PAF.add-int": lambda: f + 3,
@@ -90,6 +104,16 @@ PROBES = {
     "attain_norm-unit-int": lambda: attain_norm(FracBody.of(SQ), 3),
     "frac_oplus-int": lambda: frac_oplus(FracBody.of(SQ), 3),
     "frac_equal-int": lambda: frac_equal(FracBody.of(SQ), 3),
+    "frac_plus-int": lambda: frac_plus(FracBody.of(SQ), 3),
+    "frac_scale-int": lambda: frac_scale(1, 3),
+    "frac_neg-int": lambda: frac_neg(3),
+    "FracBody-int": lambda: FracBody(3, SQ),
+    "char_eval-int": lambda: char_eval(Direction(1, 0), 3, SQ),
+    "r_norm_body-int": lambda: r_norm_body(3, SQ),
+    "r_norm_body-unit-int": lambda: r_norm_body(SQ, 3),
+    "polar-int": lambda: polar(3),
+    "r_norm_euclidean-int": lambda: r_norm_euclidean(3),
+    "i_invariant-int": lambda: i_invariant(3),
     "classify-int": lambda: classify(3),
     "quotient_norm-f-int": lambda: quotient_norm(3, K),
     "quotient_norm-k-int": lambda: quotient_norm(f, 3),
@@ -182,6 +206,7 @@ SCALAR_ENTRIES = {
     "PointEval": PointEval,
     "prescribe": lambda x: prescribe(PAFSemifield(), PointEval(0), PointEval(1), f, x, 1),
     "SCALAR.scale": lambda x: SCALAR.scale(x, F(1)),
+    "SCALAR.scale-element": lambda x: SCALAR.scale(1, x),
     "Quad": Quad,
     "Quad-b": lambda x: Quad(0, x),
     "Quad.add": lambda x: Quad(1) + x,
