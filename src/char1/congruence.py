@@ -66,9 +66,11 @@ class ClosedSet:
         return i > 0 and t <= self.intervals[i - 1][1]
 
     def union(self, other: "ClosedSet") -> "ClosedSet":
+        check_model(other, ClosedSet)
         return ClosedSet(self.intervals + other.intervals)
 
     def intersect(self, other: "ClosedSet") -> "ClosedSet":
+        check_model(other, ClosedSet)
         pairs = ((max(a, c), min(b, d)) for a, b in self.intervals for c, d in other.intervals)
         return ClosedSet(tuple((lo, hi) for lo, hi in pairs if lo <= hi))
 
@@ -97,6 +99,9 @@ class RestrictionCongruence:
 
     k: ClosedSet
 
+    def __post_init__(self):
+        check_model(self.k, ClosedSet)
+
     @property
     def is_trivial(self) -> bool:
         return self.k.is_empty
@@ -109,10 +114,12 @@ def related(r: RestrictionCongruence, f: PAF, g: PAF) -> bool:
     0, so the relation is the zero set of the quotient norm.  The trivial
     congruence relates everything, on any domains.
     """
+    check_model(r, RestrictionCongruence)
     return r.is_trivial or quotient_norm(f, r.k, g) == 0
 
 
 def class_of_zero_contains(r: RestrictionCongruence, f: PAF) -> bool:
+    check_model(r, RestrictionCongruence)
     return r.is_trivial or quotient_norm(f, r.k) == 0
 
 
@@ -122,6 +129,7 @@ def sandwich(r: RestrictionCongruence, a: PAF, b: PAF, c: PAF) -> bool:
     When a and c lie in the class of zero, the order absorbs b into it as
     well, so the result is then always True.
     """
+    check_model(a, PAF)
     if not a.oplus(b) == b or not b.oplus(c) == c:
         raise PreconditionError("sandwich requires a <= b <= c")
     return class_of_zero_contains(r, b)
@@ -129,8 +137,9 @@ def sandwich(r: RestrictionCongruence, a: PAF, b: PAF, c: PAF) -> bool:
 
 def quotient_norm(f: PAF, k: ClosedSet, g: PAF | None = None) -> Fraction:
     """Largest |f| over the closed set: the norm of the class of f.  Given
-    g, the norm of the class of f - g; either way it reads only the cells
-    that meet K, through the restriction to each interval of K."""
+    g, the norm of the class of f - g, formed once on the whole domain.
+    One integer scan reads |h| at the ends of each interval of K and at the
+    breakpoints strictly inside (``PAF._peak``), and builds one Fraction."""
     check_model(f, PAF)
     check_model(k, ClosedSet)
     if k.is_empty:
@@ -139,14 +148,7 @@ def quotient_norm(f: PAF, k: ClosedSet, g: PAF | None = None) -> Fraction:
         f._check_domain(g)
     if not k.within(f.lo, f.hi):
         raise PreconditionError("restriction set leaves the function's domain")
-
-    def peak(a, b):  # the largest |f - g| on [a, b]
-        if a == b:
-            return abs(f(a) - (0 if g is None else g(a)))
-        h = f.restrict(a, b)
-        return (h if g is None else h - g.restrict(a, b)).r_norm()
-
-    return max(peak(a, b) for a, b in k.intervals)
+    return (f if g is None else f - g)._peak(k.intervals)[1]
 
 
 def min_representative(f: PAF, k: ClosedSet) -> PAF:
@@ -156,11 +158,15 @@ def min_representative(f: PAF, k: ClosedSet) -> PAF:
 
 def join(r1: RestrictionCongruence, r2: RestrictionCongruence) -> RestrictionCongruence:
     """Smallest congruence above both: agreement on the intersection."""
+    check_model(r1, RestrictionCongruence)
+    check_model(r2, RestrictionCongruence)
     return RestrictionCongruence(r1.k.intersect(r2.k))
 
 
 def meet(r1: RestrictionCongruence, r2: RestrictionCongruence) -> RestrictionCongruence:
     """Largest congruence below both: agreement on the union."""
+    check_model(r1, RestrictionCongruence)
+    check_model(r2, RestrictionCongruence)
     return RestrictionCongruence(r1.k.union(r2.k))
 
 
@@ -172,7 +178,8 @@ def zariski_laws(r1: RestrictionCongruence, r2: RestrictionCongruence) -> bool:
     constant between two consecutive ends, and probing each end and each
     midpoint decides both equalities.
     """
-    k1, k2, km, kj = r1.k, r2.k, meet(r1, r2).k, join(r1, r2).k
+    km, kj = meet(r1, r2).k, join(r1, r2).k  # meet checks both congruences
+    k1, k2 = r1.k, r2.k
     ends = sorted({t for k in (k1, k2, km, kj) for iv in k.intervals for t in iv})
     probes = ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]
     for t in probes:
@@ -192,12 +199,14 @@ def order_witness(f: PAF, g: PAF, k: ClosedSet) -> PAF | None:
     there, and dominates f - g everywhere.  Returns None when the classes
     are not ordered.
     """
+    check_model(f, PAF)
     h = (f - g).oplus(PAF.constant(0, f.lo, f.hi))
     return h if class_of_zero_contains(RestrictionCongruence(k), h) else None
 
 
 def dist_paf(k: ClosedSet, lo, hi) -> PAF:
     """Distance to the closed set as a PAF (slopes in {-1, 0, 1})."""
+    check_model(k, ClosedSet)
     if k.is_empty:
         raise PreconditionError("distance to the empty set")
     lo, hi = as_rat(lo), as_rat(hi)
@@ -237,6 +246,8 @@ def cutoff(f: PAF, k: ClosedSet, slope=None) -> PAF:
     big = max(1, r(f)), so f is kept wherever the bump has levelled off.
     The slope must be nonnegative, so that the bump is.
     """
+    check_model(f, PAF)
+    check_model(k, ClosedSet)
     if slope is not None and as_rat(slope) < 0:
         raise PreconditionError("cutoff slope must be nonnegative")
     if k.is_empty:
@@ -278,6 +289,12 @@ def split_vanishing(f: PAF, r1: RestrictionCongruence,
 # -- extension to fraction pairs over the convex sub-semiring --------------------
 
 
+def _as_paf(f) -> PAF:
+    """A member of a fraction pair, for ``as_pair``."""
+    check_model(f, PAF)
+    return f
+
+
 @dataclass(frozen=True)
 class FractionRestriction:
     """The extension of a congruence to fractions: the unique congruence
@@ -285,8 +302,11 @@ class FractionRestriction:
 
     base: RestrictionCongruence
 
+    def __post_init__(self):
+        check_model(self.base, RestrictionCongruence)
+
     def related(self, x: tuple[PAF, PAF], y: tuple[PAF, PAF]) -> bool:
-        (a, b), (a2, b2) = x, y
+        (a, b), (a2, b2) = (as_pair(v, "a fraction pair", _as_paf, "PAFs") for v in (x, y))
         if not all(g.is_convex() for g in (a, b, a2, b2)):
             raise PreconditionError("fraction pairs live over convex functions")
         return related(self.base, a + b2, a2 + b)

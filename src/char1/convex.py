@@ -15,8 +15,8 @@ flagged as approximate wherever it appears.
 
 from __future__ import annotations
 
-import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -316,12 +316,34 @@ def normal_fan_rays(p: Polygon) -> list[tuple[int, int]]:
 
 def merged_fan(*bodies: Polygon) -> list[tuple[int, int]]:
     """The bodies' normal-fan rays and the four axis rays as primitive
-    integer vectors, once each, sorted by angle as ``_not_after`` sorts
-    edges: cyclically consecutive rays are under a half-turn apart."""
-    rays = {(p // g, q // g) for body in bodies for p, q in normal_fan_rays(body)
-            for g in [math.gcd(p, q)]}
-    rays.update(((1, 0), (0, 1), (-1, 0), (0, -1)))
-    return sorted(rays, key=functools.cmp_to_key(lambda e, f: -1 if _not_after(e, f) else 1))
+    integer vectors, once each, in the angle order of ``_not_after``:
+    cyclically consecutive rays are under a half-turn apart.  Each body's
+    normals already run in cyclic angle order, so its run is rotated to
+    start at its one descent and merged into the fan: linear in the number
+    of rays, past one bisection per body."""
+    fan = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for body in bodies:
+        run = [(p // g, q // g) for p, q in normal_fan_rays(body) for g in [math.gcd(p, q)]]
+        if not run:
+            continue
+        # the rays at or after run[0] come first, then the ones before it
+        first = run[0]
+        k = bisect_left(run, True, 1, key=lambda r: not _not_after(first, r))
+        run = run[k:] + run[:k]
+        merged, i, j = [], 0, 0
+        while i < len(fan) and j < len(run):
+            r, s = fan[i], run[j]
+            if r == s:
+                merged.append(r)
+                i, j = i + 1, j + 1
+            elif _not_after(r, s):
+                merged.append(r)
+                i += 1
+            else:
+                merged.append(s)
+                j += 1
+        fan = merged + fan[i:] + run[j:]
+    return fan
 
 
 def _supports(p: Polygon, fan) -> list[int]:

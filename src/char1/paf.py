@@ -140,11 +140,24 @@ class PAF:
 
     __call__ = eval
 
-    def _values(self) -> list[tuple[int, int]]:
-        """f at each breakpoint as integers (num, den), den > 0: with the
-        piece (n*t + m)/d and t = x/y, f(t) = (n*x + m*y) / (d*y)."""
-        pcs = self._pcs + self._pcs[-1:]  # the last breakpoint closes the last piece
-        return [(n * x + m * y, d * y) for (n, m, d), (x, y) in zip(pcs, self._bps)]
+    def _values(self, windows=None) -> list[tuple[int, int]]:
+        """f as integers (num, den), den > 0, at the points of each window
+        [a, b] of ``windows`` in turn: a, the breakpoints strictly inside,
+        then b.  By default the one window is the domain, whose points are
+        the breakpoints.  With the piece (n*t + m)/d and t = x/y,
+        f(t) = (n*x + m*y) / (d*y)."""
+        bps, pcs = self._bps, self._pcs
+        if windows is None:
+            pts, cells = bps, pcs + pcs[-1:]  # the last breakpoint closes the last piece
+        else:
+            pts, cells = [], []
+            for a, b in windows:
+                # piece i holds at a, piece k at breakpoint k, and piece j - 1 at b
+                i = self._cell_index(a)
+                j = max(i + 1, bisect_left(bps, 0, key=_minus(b)))
+                pts += [(a.numerator, a.denominator), *bps[i + 1:j], (b.numerator, b.denominator)]
+                cells += [*pcs[i:j], pcs[j - 1]]
+        return [(n * x + m * y, d * y) for (n, m, d), (x, y) in zip(cells, pts)]
 
     def min_value(self) -> Fraction:
         return -_first_max([(-num, den) for num, den in self._values()])[1]
@@ -254,9 +267,10 @@ class PAF:
         """Spectral norm against the constant unit: max |f| over breakpoints."""
         return self._peak()[1]
 
-    def _peak(self) -> tuple[int, Fraction]:
-        """(i, |f(t_i)|) for the first breakpoint t_i where |f| is largest."""
-        return _first_max([(abs(num), den) for num, den in self._values()])
+    def _peak(self, windows=None) -> tuple[int, Fraction]:
+        """(i, |f(t_i)|) for the first point t_i of ``_values(windows)``
+        where |f| is largest: on the domain, t_i is breakpoint i."""
+        return _first_max([(abs(num), den) for num, den in self._values(windows)])
 
     def lipschitz(self) -> Fraction:
         """The largest |slope|."""

@@ -111,14 +111,15 @@ def as_rat(v) -> Fraction:
         raise PreconditionError(f"not a rational: {v!r}") from None
 
 
-def as_pair(v, what: str, read=as_rat) -> tuple:
-    """A library pair of scalars, each read by ``read`` (by default
-    ``as_rat``).  ``what`` names the pair in the error message."""
+def as_pair(v, what: str, read=as_rat, kinds: str = "ints or Fractions") -> tuple:
+    """A library pair, each member read by ``read`` (by default ``as_rat``).
+    ``what`` names the pair in the error message, and ``kinds`` what
+    ``read`` takes."""
     try:
         a, b = v
         return read(a), read(b)
     except (TypeError, ValueError):  # a PreconditionError is a ValueError
-        raise PreconditionError(f"{what} must be a pair of ints or Fractions") from None
+        raise PreconditionError(f"{what} must be a pair of {kinds}") from None
 
 
 def as_items(v, what: str) -> tuple:

@@ -194,6 +194,7 @@ class Quad:
 SQRT2 = Quad(0, 1)
 _Q0 = Quad(0)
 _Q1 = Quad(1)
+_QUAD_KINDS = "Quads, ints or Fractions"  # what Quad._coerce reads, for as_pair
 
 
 def rational_between(u: Quad, v: Quad) -> Fraction:
@@ -360,7 +361,8 @@ class CirclePAF:
 
     def __post_init__(self):
         bps = [Quad._coerce(t) for t in as_items(self.breakpoints, "breakpoints")]
-        pcs = [as_pair(pc, "a piece", Quad._coerce) for pc in as_items(self.pieces, "pieces")]
+        pcs = [as_pair(pc, "a piece", Quad._coerce, _QUAD_KINDS)
+               for pc in as_items(self.pieces, "pieces")]
         if not bps:
             raise PreconditionError("a circle section needs a breakpoint")
         if len(pcs) != len(bps):
@@ -402,8 +404,8 @@ class CirclePAF:
         smallest breakpoint is ignored (the wrap determines it), and the
         constructor raises unless the data closes up around the circle.
         """
-        pts = sorted((as_pair(tk, "a kink", Quad._coerce) for tk in as_items(kinks, "kinks")),
-                     key=lambda p: p[0])
+        pts = sorted((as_pair(tk, "a kink", Quad._coerce, _QUAD_KINDS)
+                      for tk in as_items(kinks, "kinks")), key=lambda p: p[0])
         if not pts:
             return cls.constant(start_value)
         bps = [t for t, _ in pts]

@@ -4,8 +4,9 @@ Each oracle below is the earlier implementation, kept verbatim in spirit:
 the two-pointer merge comparing ``Fraction``s, interpolation through the
 checked constructor ``PAF(bps, pcs)``, the distance function as a min of
 max-envelopes, the cutoff bump as ``dist_paf(k).scale(s).clamp(big)``,
-the quotient norm read off ``Fraction`` values, the relation as the zero
-set of the quotient norm of the full difference f - g, and the
+the quotient norm read off ``Fraction`` values and as the largest
+``r_norm`` of the restrictions to the intervals of K, the relation as the
+zero set of the quotient norm of the full difference f - g, and the
 restriction as the pullback by the identity.
 """
 
@@ -77,6 +78,17 @@ def fraction_quotient_norm(f, k):
         pts = [a, b] + [t for t in f.breakpoints if a < t < b]
         best = max(best, max(abs(f.eval(t)) for t in pts))
     return best
+
+
+def restrict_quotient_norm(f, k, g=None):
+    """The largest |f - g| over K, each interval read through restrictions."""
+    def peak(a, b):
+        if a == b:
+            return abs(f(a) - (0 if g is None else g(a)))
+        h = f.restrict(a, b)
+        return (h if g is None else h - g.restrict(a, b)).r_norm()
+
+    return max(peak(a, b) for a, b in k.intervals)
 
 
 # -- inputs --------------------------------------------------------------------------
@@ -303,6 +315,41 @@ def test_quotient_norm_and_related_equal_the_full_difference():
         assert cg.quotient_norm(f, k, g) == fraction_quotient_norm(f - g, k)
         r = RestrictionCongruence(k)
         assert cg.related(r, f, g) == (fraction_quotient_norm(f - g, k) == 0)
+
+
+def closed_sets_on(rng, f):
+    """Closed sets meeting f's domain in every way a window can: random
+    ones, points (at breakpoints, between them and at both ends), and
+    intervals with ends on breakpoints or at the domain ends."""
+    ts, lo, hi = f.breakpoints, f.lo, f.hi
+    inner = [(ts[i] + ts[i + 1]) / 2 for i in rng.sample(range(len(ts) - 1), min(3, len(ts) - 1))]
+    on = sorted(rng.sample(ts, min(4, len(ts))))
+    yield random_closed_set(rng, lo, hi, max_parts=4)
+    yield ClosedSet.of(*((t, t) for t in [lo, hi, *on[:2], *inner]))
+    yield ClosedSet.point(lo)
+    yield ClosedSet.point(hi)
+    yield ClosedSet.of((lo, hi))
+    yield ClosedSet.of((lo, on[1]), (on[-1], hi))
+    yield ClosedSet.of((on[0], on[-1]))
+    yield ClosedSet.of((lo, inner[0]), (on[-1], on[-1]))
+    yield ClosedSet.of(*((min(u, v), max(u, v)) for u, v in zip(inner, on)))
+
+
+def test_quotient_norm_equals_the_restriction_oracle():
+    rng = random.Random(2003)
+    pafs = [(random_paf(rng, max_cuts=rng.randint(0, 9)), random_paf(rng)) for _ in range(150)]
+    pafs += [(wide_paf(rng, n, bits=20), wide_paf(rng, n, bits=20))
+             for n in (2, 3, 16, 16, 128, 512)]
+    lo, hi = F(-3, 7), F(5, 2)
+    pafs += [(wide_paf(rng, 64, lo=lo, hi=hi), wide_paf(rng, 9, lo=lo, hi=hi))]
+    calls = 0
+    for f, g in pafs:
+        for k in closed_sets_on(rng, f):
+            assert cg.quotient_norm(f, k) == restrict_quotient_norm(f, k)
+            assert cg.quotient_norm(f, k, g) == restrict_quotient_norm(f, k, g)
+            assert cg.quotient_norm(f, k, f) == 0
+            calls += 3
+    assert calls > 4000
 
 
 def test_related_keeps_its_errors():

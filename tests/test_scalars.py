@@ -13,7 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from char1.congruence import ClosedSet, cutoff, dist_paf, quotient_norm
+from char1.congruence import (ClosedSet, FractionRestriction, RestrictionCongruence,
+                              class_of_zero_contains, cutoff, dist_paf, join, meet,
+                              order_witness, quotient_norm, related, sandwich, zariski_laws)
 from char1.convex import (Direction, FracBody, Polygon, PolygonFractionSemifield, char_eval,
                           frac_equal, frac_neg, frac_oplus, frac_plus, frac_scale, hull_union,
                           i_invariant, minkowski, polar, r_norm_body, r_norm_euclidean,
@@ -30,6 +32,7 @@ from char1.valuation import (CirclePAF, Quad, convexity_criterion, germ, is_loca
 f = PAF.identity()
 SQ = Polygon.square()
 K = ClosedSet.of((F(1, 4), F(1, 2)))
+R = RestrictionCongruence(K)
 S = CirclePAF.constant(1)
 
 
@@ -50,6 +53,20 @@ def test_as_pair_reads_both_coordinates():
     assert as_pair(("1/2", 3), "a pair") == (F(1, 2), F(3))
     with pytest.raises(PreconditionError, match="^an interval must be a pair of ints or"):
         as_pair((0,), "an interval")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CirclePAF((0,), ((1,),)), "a piece must be a pair of Quads, ints or Fractions"),
+    (lambda: CirclePAF.from_kinks(0, 0, [(0,)]),
+     "a kink must be a pair of Quads, ints or Fractions"),
+    (lambda: FractionRestriction(R).related((f,), (f, f)),
+     "a fraction pair must be a pair of PAFs"),
+    (lambda: FractionRestriction(R).related((f, f), (f, 3)),
+     "a fraction pair must be a pair of PAFs"),
+])
+def test_a_pair_message_names_what_its_reader_takes(call, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        call()
 
 
 # malformed scalars and shapes at library entries, and elements of the wrong model
@@ -118,6 +135,23 @@ PROBES = {
     "quotient_norm-f-int": lambda: quotient_norm(3, K),
     "quotient_norm-k-int": lambda: quotient_norm(f, 3),
     "convexity_criterion-int": lambda: convexity_criterion(3),
+    "ClosedSet.union-int": lambda: ClosedSet.of((0, 1)).union(3),
+    "ClosedSet.intersect-int": lambda: ClosedSet.of((0, 1)).intersect(3),
+    "RestrictionCongruence-int": lambda: RestrictionCongruence(3),
+    "zariski_laws-int": lambda: zariski_laws(R, 3),
+    "zariski_laws-first-int": lambda: zariski_laws(3, R),
+    "meet-int": lambda: meet(3, R),
+    "join-int": lambda: join(R, 3),
+    "related-int": lambda: related(3, f, f),
+    "class_of_zero_contains-int": lambda: class_of_zero_contains(3, f),
+    "sandwich-int": lambda: sandwich(R, 3, f, f),
+    "order_witness-int": lambda: order_witness(3, f, K),
+    "cutoff-f-int": lambda: cutoff(3, K),
+    "cutoff-k-int": lambda: cutoff(f, 3),
+    "dist_paf-int": lambda: dist_paf(3, 0, 1),
+    "FractionRestriction-int": lambda: FractionRestriction(3),
+    "FractionRestriction.related-single": lambda: FractionRestriction(R).related((f,), (f, f)),
+    "FractionRestriction.related-int": lambda: FractionRestriction(R).related((f, 3), (f, f)),
     "nat_mul-str": lambda: SCALAR.nat_mul("x", 1),
     "nat_mul-float": lambda: SCALAR.nat_mul(1.5, F(1)),
     "nat_mul-fraction": lambda: SCALAR.nat_mul(F(3, 2), F(1)),

@@ -3,10 +3,12 @@
 Each oracle here is the earlier implementation, kept verbatim in spirit:
 ``scan_norm_ray`` runs a full support scan of all three bodies for every
 candidate ray, the convexity criterion bisects for each breakpoint through
-``kink``, and ``gcd_polar`` stores the polar over the lcm of the facet
-constants and reduces it by one wide gcd.
+``kink``, ``gcd_polar`` stores the polar over the lcm of the facet
+constants and reduces it by one wide gcd, and ``sorted_fan`` sorts the
+merged fan's rays with a comparison sort on ``_not_after``.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -40,6 +42,13 @@ def gcd_polar(e):
     den = math.lcm(*(c for _, c in fs))
     return cx._store_hull([(nx * e._den * (den // c), ny * e._den * (den // c))
                            for (nx, ny), c in fs], den)
+
+
+def sorted_fan(*bodies):
+    rays = {(p // g, q // g) for body in bodies for p, q in normal_fan_rays(body)
+            for g in [math.gcd(p, q)]}
+    rays.update(((1, 0), (0, 1), (-1, 0), (0, -1)))
+    return sorted(rays, key=functools.cmp_to_key(lambda e, f: -1 if cx._not_after(e, f) else 1))
 
 
 def kink_criterion(f):
@@ -159,6 +168,74 @@ def test_supports_equal_the_scan_at_every_ray():
     fan = merged_fan(*bodies)
     for body in (*bodies, UNITS["64-gon"]):
         assert cx._supports(body, fan) == [body._isupport(p, q) for p, q in fan]
+
+
+# -- the merged fan ----------------------------------------------------------------------
+
+
+def ci_unit():
+    """The unit body of the CI step "norms on a big unit body": 1,024
+    vertices with 20-digit coordinates."""
+    n, r = 1024, 9 * 10**19
+    return Polygon.hull([(int(r * math.cos(2 * math.pi * k / n)),
+                          int(r * math.sin(2 * math.pi * k / n))) for k in range(n)])
+
+
+# bodies whose normal run starts in each angle class of ``_not_after``
+STARTS = {0: Polygon.hull([(0, 0), (2, 1), (0, 2)]),  # first edge up and right
+          1: Polygon.hull([(0, 0), (2, -1), (1, 2)]),  # first edge down and right
+          2: Polygon.hull([(0, 0), (2, 0), (1, 2)])}  # first edge to the right
+DEGENERATE = [Polygon.origin(), Polygon(((F(1, 2), F(-3)),)),
+              Polygon(((-1, 2), (3, 2))), Polygon(((0, 0), (5, 0))),  # horizontal segments
+              Polygon(((2, -1), (2, 3))), Polygon(((0, 0), (0, F(-1, 3)))),  # vertical ones
+              Polygon(((0, 0), (2, 3)))]
+
+
+def test_the_start_bodies_start_in_each_angle_class():
+    for half, body in STARTS.items():
+        assert cx._half(normal_fan_rays(body)[0]) == half
+
+
+def test_merged_fan_equals_the_sort_on_small_and_degenerate_bodies():
+    shapes = [*STARTS.values(), *DEGENERATE, *UNITS.values()]
+    assert merged_fan() == sorted_fan() == [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for a in shapes:
+        assert merged_fan(a) == sorted_fan(a)
+        for b in shapes:
+            assert merged_fan(a, b) == sorted_fan(a, b)
+    rng = random.Random(2001)
+    for _ in range(2000):
+        bodies = [rng.choice(shapes) if rng.random() < 0.3 else random_body(rng)
+                  for _ in range(rng.randint(1, 5))]
+        assert merged_fan(*bodies) == sorted_fan(*bodies)
+
+
+def test_merged_fan_emits_a_shared_normal_once():
+    sq, tri = Polygon.square(), STARTS[2]
+    # the square's normals are the axis rays; a dilate and a translate share all of them
+    for bodies in [(sq,), (sq, sq), (sq, sq.dilate(3), Polygon.square(F(1, 7))),
+                   (tri, tri.dilate(F(2, 3)), sq), (tri, Polygon.hull([(5, 5), (7, 5), (6, 7)]))]:
+        fan = merged_fan(*bodies)
+        assert fan == sorted_fan(*bodies) and len(set(fan)) == len(fan)
+    assert merged_fan(sq, sq) == [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_merged_fan_equals_the_sort_on_large_bodies(n):
+    rng = random.Random(2002 + n)
+    for _ in range(5):
+        a, b = round_body(rng, n, 10**6), round_body(rng, n, 10**6).dilate(F(2, 3))
+        for bodies in [(a,), (UNITS["64-gon"], a, b), (a, b, a.dilate(5), UNITS["square"]),
+                       (regular_unit(n, 10**20), a, b, *STARTS.values())]:
+            assert merged_fan(*bodies) == sorted_fan(*bodies)
+
+
+def test_merged_fan_equals_the_sort_on_the_ci_unit():
+    e = ci_unit()
+    assert len(e._iverts) == 1024
+    x = Polygon.hull([(0, 0), (3, 1), (-1, 2)])
+    for bodies in [(e,), (e, x, Polygon.origin()), (e, e.dilate(F(1, 3)), UNITS["64-gon"])]:
+        assert merged_fan(*bodies) == sorted_fan(*bodies)
 
 
 # -- the convexity criterion -------------------------------------------------------------
