@@ -14,20 +14,18 @@ the infimum of the norm over the class exactly.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
 from .errors import PreconditionError
 from .paf import PAF
-from .scalars import (as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
+from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
                       parse_object, parse_pair)
 
 Interval = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class ClosedSet:
+class ClosedSet(Value):
     """A finite union of disjoint closed intervals (points allowed)."""
 
     intervals: tuple[Interval, ...]
@@ -88,8 +86,7 @@ class ClosedSet:
                                 for iv in parse_list(intervals, "intervals")))
 
 
-@dataclass(frozen=True)
-class RestrictionCongruence:
+class RestrictionCongruence(Value):
     """Agreement on a closed subset of the domain.
 
     The empty set is allowed and flagged: it is the trivial congruence
@@ -295,8 +292,7 @@ def _as_paf(f) -> PAF:
     return f
 
 
-@dataclass(frozen=True)
-class FractionRestriction:
+class FractionRestriction(Value):
     """The extension of a congruence to fractions: the unique congruence
     on difference pairs restricting to ``base`` on the convex functions."""
 

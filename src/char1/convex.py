@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .scalars import (as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
+from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
                       parse_object, parse_pair)
 from .semifield import CharOneSemifield
 
@@ -84,7 +83,7 @@ def _store_hull(hull, den: int, p: Polygon | None = None, vertices=None) -> Poly
     if p is None:
         p = object.__new__(Polygon)  # skips __post_init__
     else:
-        del p.__dict__["vertices"]  # the raw input the dataclass stored
+        del p.__dict__["vertices"]  # the raw input __init__ stored
     p.__dict__.update(_den=den, _iverts=tuple(hull))
     if vertices is not None:
         p.__dict__["vertices"] = vertices
@@ -96,8 +95,7 @@ def _from_int_hull(ipts, den: int) -> Polygon:
     return _store_hull(_int_hull(ipts), den)
 
 
-@dataclass(frozen=True, eq=False)
-class Polygon:
+class Polygon(Value):
     """A convex polytope of dimension 0, 1 or 2.
 
     The stored form is (``_den``, ``_iverts``): the canonical CCW vertex
@@ -276,8 +274,7 @@ def hull_union(a: Polygon, b: Polygon) -> Polygon:
     return _from_int_hull(ia + ib, den)
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Value):
     """A nonzero linear form, canonicalized to a primitive integer vector
     so that positively proportional forms define the same character."""
 
@@ -458,8 +455,7 @@ def char_eval(psi, x, e: Polygon) -> Fraction:
 # -- the fraction semifield ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FracBody:
+class FracBody(Value):
     """A formal difference of origin-containing bodies: l_pos - l_neg."""
 
     pos: Polygon
@@ -527,9 +523,9 @@ def norm_ray(x: FracBody, e: Polygon) -> tuple[tuple[int, int], Fraction]:
     refinement of the three normal fans, so its maximum sits on one of the
     candidate rays: E's facet normals (the polar's vertices), then the
     edge normals of A, then those of B, each as a primitive integer vector
-    and taken once, in that order.  One sweep of ``merged_fan`` gives every
-    body's support at every ray: past the sort of the rays, the search is
-    linear in |E| + |A| + |B|.
+    and taken once, in that order.  ``merged_fan`` merges the rays and one
+    sweep of it gives every body's support at every ray, so the search is
+    linear in |E| + |A| + |B|, past one bisection per body.
     """
     check_model(x, FracBody)
     a, b = x.pos, x.neg

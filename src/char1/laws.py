@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import congruence as cg
@@ -20,12 +19,12 @@ from . import convex as cx
 from . import spectrum as sp
 from . import valuation as vl
 from .paf import PAF, PAFSemifield, convex_split, random_paf
+from .scalars import Value
 from .semifield import LAWS, SCALAR
 from .errors import PreconditionError
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(Value):
     suite: str
     cases: int
     failed: int

@@ -17,21 +17,19 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
 from .errors import PreconditionError, SchemaError
-from .scalars import (as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
+from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
                       parse_object, parse_pieces, parse_rat)
 from .semifield import CharOneSemifield
 
 Piece = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True, eq=False)
-class PAF:
+class PAF(Value):
     """A continuous piecewise-affine function on [lo, hi]."""
 
     breakpoints: tuple[Fraction, ...]

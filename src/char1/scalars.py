@@ -12,7 +12,7 @@ Inside the library every scalar argument is read by ``as_rat``, every
 rational pair by ``as_pair``, every sequence a constructor takes by
 ``as_items`` and every natural number by ``as_nat``, and an element at a
 public entry is checked by ``check_model``, so a bad one raises
-``PreconditionError``.
+``PreconditionError``.  The library's value classes derive from ``Value``.
 """
 
 from __future__ import annotations
@@ -162,3 +162,52 @@ def fmt_rat(q) -> str:
     if not -_TOO_LONG < q.numerator < _TOO_LONG or q.denominator >= _TOO_LONG:
         raise PreconditionError(f"result has more than {MAX_DIGITS} digits in p or q")
     return str(q)
+
+
+class Value:
+    """The base of the immutable value classes.  A subclass declares its
+    fields as class annotations, in order.  An instance takes one argument
+    per field, by position or keyword, stores each in its ``__dict__`` and
+    calls ``__post_init__``, which may check and replace them through
+    ``object.__setattr__``; afterwards assigning or deleting an attribute
+    raises ``AttributeError``.  The ``__dict__`` holds the fields in order
+    and nothing else, so two values of one class are equal when their
+    dicts are, and hash as the tuple of their fields; a class that keeps
+    more state there defines its own ``==`` and ``hash``.  The repr is
+    ``Class(field=value, ...)``."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{self.__class__.__name__}() takes the arguments "
+                            f"({', '.join(fields)}), by position or keyword")
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"

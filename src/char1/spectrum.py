@@ -12,12 +12,11 @@ theorem about the models, not a runtime check.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import as_pair, as_rat, check_model, fmt_rat, parse_object, parse_rat
+from .scalars import Value, as_pair, as_rat, check_model, fmt_rat, parse_object, parse_rat
 
 
 def __getattr__(name):  # ``char_eval`` of the convex model, re-exported on first use
@@ -27,8 +26,7 @@ def __getattr__(name):  # ``char_eval`` of the convex model, re-exported on firs
     return char_eval
 
 
-@dataclass(frozen=True)
-class PointEval:
+class PointEval(Value):
     """Evaluation at a point of the interval (the PAF model)."""
 
     t: Fraction
@@ -40,8 +38,7 @@ class PointEval:
         return {"kind": "point", "t": fmt_rat(self.t)}
 
 
-@dataclass(frozen=True)
-class SupportDir:
+class SupportDir(Value):
     """Support evaluation along a direction, normalized by the unit body."""
 
     psi: Direction
@@ -107,8 +104,7 @@ def attain_norm(x, unit: Polygon | None = None) -> Character:
     return SupportDir(Direction(*ray), e)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Value):
     nonneg: bool
     regular: bool
     absorbing: bool

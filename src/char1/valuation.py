@@ -19,12 +19,11 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
 from .paf import PAF
-from .scalars import (as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
+from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
                       parse_object, parse_pieces, parse_rat)
 
 
@@ -346,8 +345,7 @@ def _lookup(bps, pcs, t: Quad) -> tuple[Quad, tuple[Quad, Quad]]:
     return lifted, _shift_piece(pcs[i], -k)
 
 
-@dataclass(frozen=True)
-class CirclePAF:
+class CirclePAF(Value):
     """A continuous piecewise-affine function on R/Z.
 
     Breakpoints are ascending in [0, 1); arc i carries (slope, intercept)
@@ -516,8 +514,7 @@ def circle_global_sections_are_constant(rng, trials=200) -> bool:
 # -- arc sections: restriction, gluing, germs -------------------------------------
 
 
-@dataclass(frozen=True)
-class ArcSection:
+class ArcSection(Value):
     """Piecewise-affine data over one circular arc [lo, hi] in lifted
     coordinates (hi may pass 1; the arc is shorter than the full circle)."""
 

@@ -38,3 +38,28 @@ NOISY = [60, 140, 80, 120, 100, 70, 130, 90, 110, 100]    # IQR/median 0.4
 def test_verdict(better, base, change, bound, expected):
     assert bench_pairs.verdict(base, change, better, bound) == expected
 
+
+def test_refuses_a_checkout_with_a_bytecode_cache(tmp_path, capsys):
+    for side in ("base", "change"):
+        (tmp_path / side / "src" / "char1").mkdir(parents=True)
+    cache = tmp_path / "base" / "src" / "char1" / "__pycache__"
+    cache.mkdir()
+    code = bench_pairs.main(["--base", str(tmp_path / "base"), "--change",
+                             str(tmp_path / "change"), "--workload", "cli",
+                             "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1 and str(cache) in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_runs_compile_from_source(monkeypatch):
+    seen = {}
+
+    def fake_run(cmd, env, **kwargs):
+        seen.update(env)
+        out = '{}\n{"metrics": {}, "correct": true}\n'
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, out)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.run_once(".", "cli", 1, 1.0)
+    assert seen["PYTHONDONTWRITEBYTECODE"] == "1"

@@ -1,6 +1,9 @@
-"""What each entry point loads: ``import char1`` loads no submodule, and a
-CLI verb loads only its family's modules.  Every check runs in a fresh
-interpreter, so modules imported by other tests do not count."""
+"""What each entry point loads: ``import char1`` loads no submodule, a
+CLI verb loads only its family's modules, and no entry point loads
+``dataclasses`` or ``inspect``, which cost a fresh interpreter about 10 ms.
+Every check runs in a fresh interpreter, so modules imported by other tests
+do not count, and compares with the modules loaded at its start, so a site
+hook that loads them is not blamed."""
 
 import json
 import os
@@ -25,6 +28,8 @@ FAMILY_MODULES = {
     "val": {"semifield", "paf", "valuation"},
 }
 CLI_BASE = {"char1", "char1.errors", "char1.scalars"}
+# standard modules that no entry point may load
+HEAVY = {"dataclasses", "inspect"}
 
 
 def child(*argv, stdin=""):
@@ -34,21 +39,27 @@ def child(*argv, stdin=""):
                           env=env, timeout=120)
 
 
-# ``python -m char1.cli ARGV`` as runpy runs it, listing the char1 modules
-# in sys.modules on stderr at exit
+# ``python -m char1.cli ARGV`` as runpy runs it, listing on stderr at exit
+# the char1 modules in sys.modules and the HEAVY modules loaded since its start
 RUN_CLI = """
-import atexit, json, runpy, sys
-atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules
-                                                if m.split(".")[0] == "char1")), file=sys.stderr))
+import sys
+before = set(sys.modules)
+import atexit, json, runpy
+atexit.register(lambda: print(json.dumps([
+    sorted(m for m in sys.modules if m.split(".")[0] == "char1"),
+    sorted(%r & (set(sys.modules) - before))]), file=sys.stderr))
 sys.argv[0] = "char1"
 runpy.run_module("char1.cli", run_name="__main__", alter_sys=True)
-"""
+""" % HEAVY
 
 
 def cli_modules(*argv, stdin=""):
-    """(exit code, stdout, the char1 modules loaded) of one CLI request."""
+    """(exit code, stdout, the char1 modules loaded) of one CLI request,
+    which must load no HEAVY module."""
     proc = child("-c", RUN_CLI, *argv, stdin=stdin)
-    return proc.returncode, proc.stdout, set(json.loads(proc.stderr.splitlines()[-1]))
+    loaded, heavy = json.loads(proc.stderr.splitlines()[-1])
+    assert heavy == []
+    return proc.returncode, proc.stdout, set(loaded)
 
 
 def test_import_char1_loads_no_submodule():
@@ -69,6 +80,14 @@ def test_only_laws_run_loads_laws():
     code, out, loaded = cli_modules("laws-run", "decomposition", "--cases", "2")
     assert code == 0 and json.loads(out)["failed"] == 0
     assert "char1.laws" in loaded
+
+
+@pytest.mark.parametrize("module", ["char1", *sorted(
+    f"char1.{p.stem}" for p in Path(char1.__file__).parent.glob("*.py") if p.stem != "__init__")])
+def test_no_module_loads_dataclasses_or_inspect(module):
+    proc = child("-c", f"import sys; before = set(sys.modules); import {module}; "
+                       f"print(sorted({HEAVY!r} & (set(sys.modules) - before)))")
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 def test_package_names_are_the_submodules_names():

@@ -6,7 +6,11 @@
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed and the run length BENCHMARK.json sets (``run_seconds``); the
 order alternates from pair to pair (base first on even pairs), so slow drift
-on the machine hits both sides alike.  Seeds run from ``--first-seed``
+on the machine hits both sides alike.  Every run has
+``PYTHONDONTWRITEBYTECODE=1``, so both sides compile char1 from source on
+each start, as a fresh checkout does; a checkout that holds a
+``__pycache__`` under ``src/`` is refused (exit 2), since a stale cache
+there would make one side start faster.  Seeds run from ``--first-seed``
 upward, one per pair.  Give ``--workload`` several times to measure several
 workloads, each with the same ``--pairs`` count.
 
@@ -29,11 +33,19 @@ import subprocess
 import sys
 
 
+def bytecode_caches(checkout: str) -> list:
+    """The ``__pycache__`` directories under the checkout's ``src/``."""
+    return sorted(os.path.join(d, "__pycache__")
+                  for d, subdirs, _ in os.walk(os.path.join(checkout, "src"))
+                  if "__pycache__" in subdirs)
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in checkout: its metric values, speed scale and notes."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
     notes, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
@@ -109,6 +121,11 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=501)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    caches = bytecode_caches(args.base) + bytecode_caches(args.change)
+    if caches:
+        print(f"bench_pairs: remove the bytecode caches first: {' '.join(caches)}",
+              file=sys.stderr)
+        return 2
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
