@@ -201,18 +201,6 @@ def order_witness(f: PAF, g: PAF, k: ClosedSet) -> PAF | None:
     return h if class_of_zero_contains(RestrictionCongruence(k), h) else None
 
 
-def dist_paf(k: ClosedSet, lo, hi) -> PAF:
-    """Distance to the closed set as a PAF (slopes in {-1, 0, 1})."""
-    check_model(k, ClosedSet)
-    if k.is_empty:
-        raise PreconditionError("distance to the empty set")
-    lo, hi = as_rat(lo), as_rat(hi)
-    if lo >= hi:
-        raise PreconditionError("breakpoints must be strictly increasing")
-    # no point of [lo, hi] is further from K than the width of their hull
-    return _bump(k, lo, hi, 1, max(hi, k.intervals[-1][1]) - min(lo, k.intervals[0][0]))
-
-
 def _bump(k: ClosedSet, lo: Fraction, hi: Fraction, slope, cap) -> PAF:
     """t -> min(cap, slope * d(t, K)) on [lo, hi], interpolated on the hull of
     [lo, hi] and its kinks, then restricted: the ends of K's intervals, the

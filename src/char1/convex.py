@@ -471,14 +471,6 @@ class FracBody(Value):
     def of(cls, body: Polygon) -> "FracBody":
         return cls(body, Polygon.origin())
 
-    def to_json(self) -> dict:
-        return {"pos": self.pos.to_json(), "neg": self.neg.to_json()}
-
-    @classmethod
-    def from_json(cls, data) -> "FracBody":
-        pos, neg = parse_object(data, "a fraction body", "pos", "neg")
-        return build(cls, Polygon.from_json(pos), Polygon.from_json(neg))
-
 
 def frac_equal(x: FracBody, y: FracBody) -> bool:
     """Cancellative equality: A - B = A' - B' iff A + B' = A' + B."""
@@ -573,10 +565,6 @@ class PolygonFractionSemifield(CharOneSemifield):
     def __init__(self, unit_body: Polygon | None = None):
         self._unit_body = unit_body if unit_body is not None else DEFAULT_UNIT
         facets(self._unit_body)
-
-    @property
-    def unit_body(self) -> Polygon:
-        return self._unit_body
 
     def oplus(self, x, y):
         return frac_oplus(x, y)

@@ -18,7 +18,7 @@ from . import congruence as cg
 from . import convex as cx
 from . import spectrum as sp
 from . import valuation as vl
-from .paf import PAF, PAFSemifield, convex_split, random_paf
+from .paf import PAF, PAFSemifield, convex_split
 from .scalars import Value
 from .semifield import LAWS, SCALAR
 from .errors import PreconditionError
@@ -220,7 +220,8 @@ def support_mismatch(a, b, union, total):
 
 def run_convex_suite(seed=0, cases=200) -> SuiteReport:
     """Support-function isomorphism, exact on the merged normal fan
-    (``support_mismatch``); dual-norm identity, cancellativity, symmetry
+    (``support_mismatch``); the hull union holding both bodies' vertices;
+    dual-norm identity, cancellativity, symmetry
     closure, and the flagged euclidean float mode (the correctly rounded
     largest vertex norm), compared with a float ``hypot`` at 1e-9."""
     tally = _Tally("convex")
@@ -229,12 +230,15 @@ def run_convex_suite(seed=0, cases=200) -> SuiteReport:
     pole = cx.polar(unit)
     for _ in range(cases):
         a, b = cx.random_polygon(rng), cx.random_polygon(rng)
-        mismatch = support_mismatch(a, b, cx.hull_union(a, b), cx.minkowski(a, b))
+        union = cx.hull_union(a, b)
+        mismatch = support_mismatch(a, b, union, cx.minkowski(a, b))
         if mismatch is None:
             tally.check(True, "support isomorphism")
         else:
             label, ray = mismatch
             tally.check(False, label, a, b, ray)
+        tally.check(all(union.contains(v) for v in a.vertices + b.vertices),
+                    "hull-union contains both bodies", a, b)
         c = cx.random_polygon(rng)
         tally.check(cx.hull_union(a, a) == a, "idempotent hull-union", a)
         tally.check(cx.minkowski(a, cx.hull_union(b, c))
@@ -258,7 +262,8 @@ def run_convex_suite(seed=0, cases=200) -> SuiteReport:
 
 def run_character_suite(seed=0, cases=1000) -> SuiteReport:
     """Character axioms, the norm bound, exact norm attainment (on
-    max(1, cases // 2) functions), and separation of distinct characters."""
+    max(1, cases // 2) functions), separation of distinct characters, and
+    the two values that ``prescribe`` sets at two point characters."""
     tally = _Tally("character")
     rng = random.Random(seed)
     paf_ops = PAFSemifield(0, 1)
@@ -313,8 +318,11 @@ def run_character_suite(seed=0, cases=1000) -> SuiteReport:
         t1 = Fraction(rng.randint(0, 12), 12)
         t2 = Fraction(rng.randint(0, 12), 12)
         if t1 != t2:
-            z = sp.separate(sp.PointEval(t1), sp.PointEval(t2))
+            phi1, phi2 = sp.PointEval(t1), sp.PointEval(t2)
+            z = sp.separate(phi1, phi2)
             tally.check(z.eval(t1) != z.eval(t2), "separation of points", t1, t2)
+            w = sp.prescribe(paf_ops, phi1, phi2, z, t2, t1)
+            tally.check(w.eval(t1) == t2 and w.eval(t2) == t1, "prescribed values", t1, t2)
         d1, d2 = cx.random_direction(rng), cx.random_direction(rng)
         if d1 != d2:
             p1, p2 = sp.SupportDir(d1, unit), sp.SupportDir(d2, unit)
@@ -395,11 +403,20 @@ def run_congruence_suite(seed=0, cases=500) -> SuiteReport:
     return tally.report()
 
 
+def _germ_reads_kink(s, bp, k) -> bool:
+    """Do the two germ pieces of s at the breakpoint bp both take the value
+    s(bp) there, and jump in slope by the kink k?"""
+    (a0, b0), (a1, b1) = vl.germ(s, bp)
+    value = s.eval(bp)
+    return a0 * bp + b0 == value == a1 * bp + b1 and a1 - a0 == k
+
+
 def run_valuation_suite(seed=0, cases=500) -> SuiteReport:
     """Valuation laws, the convexity criterion against slope monotonicity
     (on 2 * cases functions), locality, circle sections (cases rounds of a
-    constant, a random section and a prescribed kink set), and the
-    quadratic-point junction check."""
+    constant, a random section and a prescribed kink set; a random section
+    is restricted to two arcs and glued back, and its germs read its
+    kinks), and the quadratic-point junction check."""
     tally = _Tally("valuation")
     rng = random.Random(seed)
     paf_ops = PAFSemifield(0, 1)
@@ -460,6 +477,11 @@ def run_valuation_suite(seed=0, cases=500) -> SuiteReport:
         cand = random_circle_section(rng)
         if cand is not None:
             tally.check(vl.circle_kink_sum(cand) == 0, "kinks telescope", cand)
+            arcs = (vl.restrict_to_arc(cand, 0, Fraction(3, 5)),
+                    vl.restrict_to_arc(cand, Fraction(1, 2), Fraction(11, 10)))
+            tally.check(vl.glue(arcs) == cand, "restrictions glue back", cand)
+            tally.check(all(_germ_reads_kink(cand, bp, k) for bp, k in cand.kinks()),
+                        "germs read the kinks", cand)
             if vl.circle_section_valid(cand):
                 tally.check(cand.is_constant(), "valid sections are constant", cand)
         spots = sorted(rng.sample(range(1, 12), rng.randint(1, 3)))

@@ -274,24 +274,6 @@ class PAF(Value):
         """The largest |slope|."""
         return _first_max([(abs(n), d) for n, _, d in self._pcs])[1]
 
-    def weighted_norms(self) -> tuple[Fraction, Fraction]:
-        """(gauge, lipschitz) in the anchored model on [0, 1] with unit t -> t.
-
-        gauge is the least c with -c*t <= f(t) <= c*t, i.e. max |f(t)|/t over
-        breakpoints t > 0; lipschitz is the largest |slope|.  gauge never
-        exceeds lipschitz, but only gauge contracts under max-differences
-        (tests carry an explicit counterexample for the other).
-        """
-        if self._bps[0] != (0, 1) or self._bps[-1] != (1, 1):
-            raise PreconditionError("weighted norms are defined on [0, 1]")
-        vals = self._values()
-        if vals[0][0] != 0:
-            raise PreconditionError("weighted norms require f(0) = 0")
-        # |f(t)|/t = |num|*y / (den*x) at t = x/y > 0, every breakpoint after 0
-        gauge = _first_max([(abs(num) * y, den * x)
-                            for (num, den), (x, y) in zip(vals[1:], self._bps[1:])])[1]
-        return gauge, self.lipschitz()
-
     def is_convex(self) -> bool:
         pcs = self._pcs
         return all(n0 * d1 <= n1 * d0 for (n0, _, d0), (n1, _, d1) in zip(pcs, pcs[1:]))
@@ -436,6 +418,7 @@ def _gap(p, q, t) -> int:
 
 def convex_split(f: PAF) -> tuple[PAF, PAF]:
     """Write f = g - h with g, h convex; h absorbs the downward kinks."""
+    check_model(f, PAF)
     slopes, bps = [a for a, _ in f.pieces], f.breakpoints
     h_slopes = accumulate((max(Fraction(0), s - t) for s, t in zip(slopes, slopes[1:])),
                           initial=Fraction(0))

@@ -4,8 +4,9 @@ A normalized character sends the tropical sum to max, addition to
 addition, and the unit E to 1.  In the piecewise-affine model every point
 of the domain evaluates to one; in the convex model every direction does,
 after dividing by the support of the unit body.  This module certifies
-soundness (the axioms, |phi(X)| <= r(X)), exact norm attainment, and
-separation of distinct characters; completeness of the spectrum is a
+soundness (the axioms, |phi(X)| <= r(X)), exact norm attainment,
+separation of distinct characters, and two prescribed values at two
+characters (``prescribe``); completeness of the spectrum is a
 theorem about the models, not a runtime check.
 """
 
@@ -14,9 +15,9 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .errors import PreconditionError, SchemaError
+from .errors import PreconditionError
 from .paf import PAF
-from .scalars import Value, as_pair, as_rat, check_model, fmt_rat, parse_object, parse_rat
+from .scalars import Value, as_pair, as_rat, check_model, fmt_rat
 
 
 def __getattr__(name):  # ``char_eval`` of the convex model, re-exported on first use
@@ -49,18 +50,6 @@ class SupportDir(Value):
 
 
 Character = PointEval | SupportDir
-
-
-def character_from_json(data, unit: Polygon | None = None) -> Character:
-    [kind] = parse_object(data, "a character", "kind")
-    if kind == "point":
-        [t] = parse_object(data, "a point character", "t")
-        return PointEval(parse_rat(t))
-    if kind == "dir":
-        from .convex import DEFAULT_UNIT, Direction
-        [psi] = parse_object(data, "a direction character", "psi")
-        return SupportDir(Direction.from_json(psi), unit if unit is not None else DEFAULT_UNIT)
-    raise SchemaError(f"unknown character kind {kind!r}")
 
 
 def apply_char(phi: Character, x) -> Fraction:

@@ -157,11 +157,6 @@ class Quad:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise PreconditionError(f"{self} is irrational")
-        return self.a
-
     def floor(self) -> int:
         """Exact: floor(p + q*sqrt 2) = p + floor(q*sqrt 2), and q*sqrt 2 is
         irrational for q != 0, so isqrt(2 q^2) never lands on it."""
@@ -196,23 +191,12 @@ _Q1 = Quad(1)
 _QUAD_KINDS = "Quads, ints or Fractions"  # what Quad._coerce reads, for as_pair
 
 
-def rational_between(u: Quad, v: Quad) -> Fraction:
-    """Some rational strictly between u < v, found exactly."""
-    if not u < v:
-        raise PreconditionError("need u < v")
-    n = 1
-    while True:
-        cand = Fraction((u * n).floor() + 1, n)
-        if u < cand < v:
-            return cand
-        n *= 2
-
-
 # -- kinks and valuations on the interval ------------------------------------------
 
 
 def kink(f: PAF, x) -> Fraction:
     """Right slope minus left slope at an interior point (0 off breakpoints)."""
+    check_model(f, PAF)
     x = as_rat(x)
     if not f.lo < x < f.hi:
         raise PreconditionError("kinks are defined at interior points")
@@ -243,6 +227,7 @@ def valuation_at(x, f: PAF) -> Fraction:
     the decomposition and rational homogeneity are exercised by the
     suites.
     """
+    check_model(f, PAF)
     x = as_rat(x)
     if f.eval(x) != 0:
         raise PreconditionError("valuations apply to functions vanishing at the point")
@@ -265,6 +250,7 @@ def is_local_unit(f: PAF, x) -> bool:
     its denominator b is a local unit, i.e. b - b(x)*E does not kink at x.
     Endpoints carry the zero valuation, so everything is local there.
     """
+    check_model(f, PAF)
     return _shifted_valuation(f, as_rat(x)) == 0
 
 
@@ -275,6 +261,7 @@ def smooth_neighborhood(f: PAF, x0) -> tuple[Fraction, Fraction]:
     form gives every interior breakpoint a nonzero kink, so the interval
     is the cell of x0.
     """
+    check_model(f, PAF)
     x0 = as_rat(x0)
     if not f.lo <= x0 <= f.hi:
         raise PreconditionError(f"{x0} outside domain [{f.lo}, {f.hi}]")
@@ -431,10 +418,6 @@ class CirclePAF(Value):
         return [(bp, self.pieces[i][0] - self.pieces[i - 1][0])
                 for i, bp in enumerate(self.breakpoints)]
 
-    def kink_at(self, x) -> Quad:
-        left, right = germ(self, x)
-        return right[0] - left[0]
-
     def is_constant(self) -> bool:
         return len(self.pieces) == 1 and self.pieces[0][0] == _Q0
 
@@ -458,6 +441,7 @@ class CirclePAF(Value):
 
 def circle_section_valid(s: CirclePAF) -> bool:
     """Globally valid: continuous (by construction) with every kink >= 0."""
+    check_model(s, CirclePAF)
     return all(k >= _Q0 for _, k in s.kinks())
 
 
@@ -537,10 +521,6 @@ class ArcSection(Value):
         object.__setattr__(self, "pieces", pcs)
 
     @property
-    def lo(self) -> Quad:
-        return self.breakpoints[0]
-
-    @property
     def hi(self) -> Quad:
         return self.breakpoints[-1]
 
@@ -555,6 +535,7 @@ class ArcSection(Value):
 
 def restrict_to_arc(s: CirclePAF, lo, hi) -> ArcSection:
     """The restriction of a circle section to the lifted arc [lo, hi]."""
+    check_model(s, CirclePAF)
     lo, hi = Quad._coerce(lo), Quad._coerce(hi)
     if not (_Q0 <= lo < _Q1):
         raise PreconditionError("anchor the arc start in [0, 1)")
@@ -577,7 +558,9 @@ def glue(sections) -> CirclePAF:
     Pairs must agree exactly wherever their arcs overlap; a gap or a
     disagreement is an error.
     """
-    sections = list(sections)
+    sections = as_items(sections, "sections")
+    for sec in sections:
+        check_model(sec, ArcSection)
     if not sections:
         raise PreconditionError("nothing to glue")
     cuts = sorted({t - t.floor() for sec in sections for t in sec.breakpoints})
@@ -599,6 +582,7 @@ def glue(sections) -> CirclePAF:
 
 def germ(s: CirclePAF, x) -> tuple[tuple[Quad, Quad], tuple[Quad, Quad]]:
     """Stalk data at a point: the (left, right) canonical local pieces."""
+    check_model(s, CirclePAF)
     x = Quad._coerce(x)
     x = x - x.floor()
     right = s.piece_at(x)

@@ -11,7 +11,6 @@ from char1.congruence import (
     RestrictionCongruence,
     class_of_zero_contains,
     cutoff,
-    dist_paf,
     join,
     meet,
     min_representative,
@@ -26,6 +25,7 @@ from char1.errors import PreconditionError
 from char1.laws import random_closed_set, random_convex_paf
 from char1.paf import PAF, random_paf
 from char1.spectrum import PointEval, apply_char
+from test_paf_walks import envelope_dist
 
 ZERO = PAF.constant(0)
 
@@ -141,19 +141,12 @@ def test_cutoff_keeps_f_where_the_bump_has_levelled_off():
         if k.is_empty:
             continue
         steep = F(rng.randint(1, 12), rng.randint(1, 3))
-        h, d = cutoff(f, k, slope=steep), dist_paf(k, f.lo, f.hi)
+        h, d = cutoff(f, k, slope=steep), envelope_dist(k, f.lo, f.hi)
         for t in set(f.breakpoints) | set(h.breakpoints) | set(d.breakpoints):
             if steep * d.eval(t) >= 1:
                 assert h.eval(t) == f.eval(t), t
     with pytest.raises(PreconditionError, match="nonnegative"):
         cutoff(PAF.constant(1), ClosedSet.point(0), slope=-1)
-
-
-def test_dist_paf():
-    k = ClosedSet.of((F(1, 4), F(1, 2)))
-    d = dist_paf(k, 0, 1)
-    assert d.eval(F(1, 4)) == 0 and d.eval(F(3, 8)) == 0
-    assert d.eval(0) == F(1, 4) and d.eval(1) == F(1, 2)
 
 
 def test_quotient_norm_examples():

@@ -381,8 +381,6 @@ def test_polygon_json_roundtrip():
     for _ in range(30):
         a = random_polygon(rng)
         assert Polygon.from_json(a.to_json()) == a
-        fb = FracBody(a, random_polygon(rng))
-        assert FracBody.from_json(fb.to_json()) == fb
 
 
 # -- the stored integer form -------------------------------------------------------

@@ -13,9 +13,9 @@ import pytest
 
 import char1
 from char1.congruence import ClosedSet, quotient_norm
-from char1.convex import FracBody, Polygon, hull_union, merged_fan, minkowski, norm_ray
+from char1.convex import FracBody, Polygon, hull_union, merged_fan, minkowski, norm_ray, polar
 from char1.paf import PAF
-from char1.valuation import kink
+from char1.valuation import CirclePAF, convexity_criterion, germ, kink
 
 CHAR1 = os.path.dirname(char1.__file__) + os.sep
 
@@ -45,8 +45,29 @@ def work(fn, *args) -> int:
 
 def paf(n: int, seed: int) -> PAF:
     """n breakpoints i/(n-1), seeded values in [-1, 1] at 1/1000 steps."""
+    return PAF.from_samples(samples(n, seed))
+
+
+def samples(n: int, seed: int) -> list:
+    """The n samples that ``paf(n, seed)`` interpolates."""
     rng = random.Random(seed)
-    return PAF.from_samples([(F(i, n - 1), F(rng.randint(-1000, 1000), 1000)) for i in range(n)])
+    return [(F(i, n - 1), F(rng.randint(-1000, 1000), 1000)) for i in range(n)]
+
+
+def convex_paf(n: int) -> PAF:
+    """t -> t^2 interpolated at n breakpoints i/(n-1): every kink positive."""
+    return PAF.from_samples([(F(i, n - 1), F(i * i, (n - 1) ** 2)) for i in range(n)])
+
+
+def section(n: int, seed: int) -> CirclePAF:
+    """The circle section through n seeded values at the breakpoints i/n,
+    its last arc closing at 1 on the value at 0."""
+    rng = random.Random(seed)
+    ts = [F(i, n) for i in range(n)]
+    vs = [F(rng.randint(-1000, 1000), 1000) for _ in range(n)]
+    ends = list(zip(ts, vs))[1:] + [(F(1), vs[0])]
+    slopes = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(zip(ts, vs), ends)]
+    return CirclePAF(ts, [(a, v - a * t) for a, t, v in zip(slopes, ts, vs)])
 
 
 def body(n: int, shift: int) -> Polygon:
@@ -80,12 +101,18 @@ LINEAR = {
     "hull_union": (hull_union, BODY_SIZES, body_args),
     "merged_fan": (merged_fan, BODY_SIZES, body_args),
     "norm_ray": (norm_ray, BODY_SIZES, lambda n: (FracBody(*body_args(n)), Polygon.square())),
+    "from_samples": (PAF.from_samples, PAF_SIZES, lambda n: (samples(n, 1),)),
+    "polar": (polar, BODY_SIZES, lambda n: (body(n, 0),)),
+    # a random PAF stops at its first negative kink, so the input is convex
+    "convexity_criterion": (convexity_criterion, PAF_SIZES, lambda n: (convex_paf(n),)),
 }
 # one bisection per call
 LOGARITHMIC = {
     "eval": (PAF.eval, PAF_SIZES, lambda n: (paf(n, 1), F(1, 3))),
     "kink": (kink, PAF_SIZES, lambda n: (paf(n, 1), F(n // 2, n - 1))),
     "quotient_norm_point": (quotient_norm, PAF_SIZES, lambda n: (paf(n, 1), POINT)),
+    "CirclePAF.piece_at": (CirclePAF.piece_at, PAF_SIZES, lambda n: (section(n, 1), F(1, 3))),
+    "germ": (germ, PAF_SIZES, lambda n: (section(n, 1), F(n // 2, n))),
 }
 
 

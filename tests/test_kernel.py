@@ -273,18 +273,14 @@ def test_convexity_criterion_on_large_pafs():
 def test_default_unit_is_one_shared_square():
     from char1 import cli
     from char1.convex import DEFAULT_UNIT, PolygonFractionSemifield
-    from char1.spectrum import character_from_json
 
     assert DEFAULT_UNIT == E
     body = FracBody(TRI, Polygon.hull([(0, 0), (-1, F(1, 2))]))
     assert attain_norm(body) == attain_norm(body, Polygon.square())
     assert attain_norm(TRI) == attain_norm(TRI, Polygon.square())
     assert attain_norm(body).unit is attain_norm(TRI).unit is DEFAULT_UNIT
-    data = {"kind": "dir", "psi": ["1", "-2"]}
-    assert character_from_json(data) == character_from_json(data, Polygon.square())
-    assert character_from_json(data).unit is character_from_json(data).unit is DEFAULT_UNIT
     assert cli._unit_body({}) is cli._unit_body({}) is DEFAULT_UNIT
-    assert PolygonFractionSemifield().unit_body is DEFAULT_UNIT
+    assert PolygonFractionSemifield().unit.pos is DEFAULT_UNIT
     assert PolygonFractionSemifield().r_norm(body) == r_norm_frac(body, Polygon.square())
 
 

@@ -66,6 +66,7 @@ def test_mismatches_name_each_value_that_moved():
 
 def test_the_expected_file_pins_the_four_totals():
     expected = json.loads((ROOT / "tools" / "output_digest.expected.json").read_text())
-    assert sorted(expected) == ["cli", "error_exits", "laws", "requests"]
+    assert sorted(expected) == ["cli", "error_exits", "laws", "requests", "why"]
+    assert output_digest.mismatches({}, {"why": expected["why"]}) == []
     assert all(len(expected[k]) == 32 for k in ("cli", "laws"))
     assert 0 < expected["error_exits"] < expected["requests"]

@@ -152,58 +152,14 @@ def test_peak_of_the_zero_function_is_its_first_breakpoint():
         assert f._peak() == (0, 0)
 
 
-def test_weighted_norms_examples():
-    assert PAF.identity().weighted_norms() == (F(1), F(1))
-    f = PAF.constant(0).oplus(PAF.affine(2, -1))
-    assert f.weighted_norms() == (F(1), F(2))
-    assert PAF.constant(0).weighted_norms() == (F(0), F(0))
-
-
-def test_weighted_norms_gauge_by_grid():
-    rng = random.Random(3)
-    for _ in range(40):
-        f = random_paf(rng)
-        f = f - PAF.constant(f.eval(0))  # anchor
-        gauge, lip = f.weighted_norms()
-        sample = sorted(set(grid(48)) | set(f.breakpoints))
-        assert gauge == max(abs(f.eval(t)) / t for t in sample if t > 0)
-        assert gauge <= lip
-
-
-def test_weighted_norms_preconditions():
-    with pytest.raises(PreconditionError):
-        PAF.constant(1).weighted_norms()
-    with pytest.raises(PreconditionError):
-        PAF.identity(0, 2).weighted_norms()
-
-
-def test_anchored_gauge_dominated_by_lipschitz():
-    rng = random.Random(53)
-    for _ in range(500):
-        f = random_paf(rng)
-        gauge, lip = (f - PAF.constant(f.eval(0))).weighted_norms()
-        assert gauge <= lip
-
-
-def test_anchored_gauge_contracts_under_max_differences():
-    rng = random.Random(29)
-    for _ in range(120):
-        fs = [random_paf(rng) for _ in range(4)]
-        f, g, f2, g2 = [h - PAF.constant(h.eval(0)) for h in fs]
-        lhs, _ = (f.oplus(g) - f2.oplus(g2)).weighted_norms()
-        r1, _ = (f - f2).weighted_norms()
-        r2, _ = (g - g2).weighted_norms()
-        assert lhs <= max(r1, r2)
-
-
 def test_lipschitz_seminorm_is_not_max_contractive():
     # the steep ramp saturates against the shallow one: the difference of
     # envelopes can out-slope both input differences
     ramp = PAF.from_samples([(0, 0), (F(1, 4), 0), (F(1, 2), F(5, 2)), (1, F(5, 2))])
     shallow = PAF.from_samples([(0, 0), (F(1, 2), F(1, 2)), (1, F(1, 2))])
     zero = PAF.constant(0)
-    _, lip_delta = (ramp.oplus(shallow) - ramp.oplus(zero)).weighted_norms()
-    _, lip_rhs = shallow.weighted_norms()
+    lip_delta = (ramp.oplus(shallow) - ramp.oplus(zero)).lipschitz()
+    lip_rhs = shallow.lipschitz()
     assert lip_delta == 9 and lip_rhs == 1  # contraction would force <= 1
 
 

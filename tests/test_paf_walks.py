@@ -3,7 +3,7 @@
 Each oracle below is the earlier implementation, kept verbatim in spirit:
 the two-pointer merge comparing ``Fraction``s, interpolation through the
 checked constructor ``PAF(bps, pcs)``, the distance function as a min of
-max-envelopes, the cutoff bump as ``dist_paf(k).scale(s).clamp(big)``,
+max-envelopes, the cutoff bump as that distance scaled and clamped,
 the quotient norm read off ``Fraction`` values and as the largest
 ``r_norm`` of the restrictions to the intervals of K, the relation as the
 zero set of the quotient norm of the full difference f - g, and the
@@ -227,7 +227,7 @@ def test_restrict_equals_the_pullback_by_the_identity():
     assert f.restrict(f.lo, f.hi) == f
 
 
-# -- distance, bump and cutoff -------------------------------------------------------
+# -- bump and cutoff ----------------------------------------------------------------
 
 EDGE_SETS = [
     ClosedSet.point(F(1, 2)),
@@ -243,25 +243,6 @@ EDGE_SETS = [
     ClosedSet.of((F(3, 4), F(9, 4))),  # overhanging hi
     ClosedSet.of((F(-2), F(-1)), (F(1, 3), F(1, 2)), (3, 4)),  # around the domain
 ]
-
-
-def test_dist_paf_equals_the_envelope_walks():
-    rng = random.Random(1605)
-    for k in EDGE_SETS:
-        for lo, hi in ((0, 1), (F(-5, 2), F(7, 3)), (F(1, 3), F(2, 3))):
-            assert cg.dist_paf(k, lo, hi) == envelope_dist(k, lo, hi), (k, lo, hi)
-    for _ in range(200):
-        k = random_closed_set(rng, lo=rng.randint(-2, 0), hi=rng.randint(1, 3), max_parts=4)
-        assert cg.dist_paf(k, 0, 1) == envelope_dist(k, 0, 1), k
-
-
-def test_dist_paf_rejects_an_empty_domain_as_before():
-    for lo, hi in ((0, 0), (1, 0)):
-        for k in (ClosedSet.point(0), ClosedSet.of((0, 2))):
-            with pytest.raises(PreconditionError, match="breakpoints must be strictly increasing"):
-                cg.dist_paf(k, lo, hi)
-    with pytest.raises(PreconditionError, match="distance to the empty set"):
-        cg.dist_paf(ClosedSet.empty(), 0, 1)
 
 
 def test_cutoff_equals_the_envelope_walks_on_the_edge_cases():
@@ -366,14 +347,11 @@ def test_related_keeps_its_errors():
 # -- the integer breakpoint scan -----------------------------------------------------
 
 
-def test_min_max_and_weighted_norms_equal_the_values_at_breakpoints():
+def test_min_max_and_lipschitz_equal_the_values_at_breakpoints():
     rng = random.Random(1610)
     pafs = [random_paf(rng, max_cuts=rng.randint(0, 9)) for _ in range(200)]
     pafs += [wide_paf(rng, 64), -wide_paf(rng, 64), PAF.constant(0), PAF.constant(-3)]
     for f in pafs:
         values = [f.eval(t) for t in f.breakpoints]
         assert (f.min_value(), f.max_value()) == (min(values), max(values))
-        g = f - PAF.constant(f.eval(0))
-        gauge, lipschitz = g.weighted_norms()
-        assert gauge == max(abs(g.eval(t)) / t for t in g.breakpoints if t > 0)
-        assert lipschitz == max(abs(a) for a, _ in g.pieces)
+        assert f.lipschitz() == max(abs(a) for a, _ in f.pieces)

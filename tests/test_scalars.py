@@ -14,20 +14,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from char1.congruence import (ClosedSet, FractionRestriction, RestrictionCongruence,
-                              class_of_zero_contains, cutoff, dist_paf, join, meet,
+                              class_of_zero_contains, cutoff, join, meet,
                               order_witness, quotient_norm, related, sandwich, zariski_laws)
 from char1.convex import (Direction, FracBody, Polygon, PolygonFractionSemifield, char_eval,
                           frac_equal, frac_neg, frac_oplus, frac_plus, frac_scale, hull_union,
                           i_invariant, minkowski, polar, r_norm_body, r_norm_euclidean,
                           r_norm_frac)
 from char1.errors import Char1Error, PreconditionError
-from char1.paf import PAF, PAFSemifield
+from char1.paf import PAF, PAFSemifield, convex_split
 from char1.scalars import as_nat, as_pair, as_rat, fmt_rat
 from char1.semifield import SCALAR
 from char1.spectrum import PointEval, attain_norm, classify, prescribe, separate
-from char1.valuation import (CirclePAF, Quad, convexity_criterion, germ, is_local_unit,
-                             k_defined_check, kink, local_morphism_check, restrict_to_arc,
-                             smooth_neighborhood, valuation_at)
+from char1.valuation import (CirclePAF, Quad, circle_section_valid, convexity_criterion, germ,
+                             glue, is_local_unit, k_defined_check, kink, local_morphism_check,
+                             restrict_to_arc, smooth_neighborhood, valuation_at)
 
 f = PAF.identity()
 SQ = Polygon.square()
@@ -148,7 +148,6 @@ PROBES = {
     "order_witness-int": lambda: order_witness(3, f, K),
     "cutoff-f-int": lambda: cutoff(3, K),
     "cutoff-k-int": lambda: cutoff(f, 3),
-    "dist_paf-int": lambda: dist_paf(3, 0, 1),
     "FractionRestriction-int": lambda: FractionRestriction(3),
     "FractionRestriction.related-single": lambda: FractionRestriction(R).related((f,), (f, f)),
     "FractionRestriction.related-int": lambda: FractionRestriction(R).related((f, 3), (f, f)),
@@ -169,6 +168,28 @@ PROBES = {
 def test_a_malformed_argument_is_a_precondition_error(call):
     with pytest.raises(PreconditionError):
         call()
+
+
+# entry -> a call of it with one element drawn, the other arguments valid
+MODEL_ENTRIES = {
+    "kink": lambda x: kink(x, F(1, 2)),
+    "valuation_at": lambda x: valuation_at(F(1, 2), x),
+    "is_local_unit": lambda x: is_local_unit(x, F(1, 2)),
+    "smooth_neighborhood": lambda x: smooth_neighborhood(x, F(1, 2)),
+    "circle_section_valid": circle_section_valid,
+    "germ": lambda x: germ(x, 0),
+    "restrict_to_arc": lambda x: restrict_to_arc(x, 0, F(1, 2)),
+    "glue": glue,
+    "glue-item": lambda x: glue([restrict_to_arc(S, 0, F(3, 5)), x]),
+    "convex_split": convex_split,
+}
+
+
+@pytest.mark.parametrize("junk", [5, None])
+@pytest.mark.parametrize("name", MODEL_ENTRIES)
+def test_a_junk_model_is_a_precondition_error(name, junk):
+    with pytest.raises(PreconditionError):
+        MODEL_ENTRIES[name](junk)
 
 
 def test_as_nat_keeps_an_int_and_reads_an_index():
@@ -227,7 +248,6 @@ SCALAR_ENTRIES = {
     "ClosedSet.contains": K.contains,
     "ClosedSet.within": lambda x: K.within(x, 1),
     "cutoff": lambda x: cutoff(f, K, x),
-    "dist_paf": lambda x: dist_paf(K, x, 1),
     "Polygon.square": Polygon.square,
     "Polygon.dilate": SQ.dilate,
     "frac_scale": lambda x: frac_scale(x, FracBody.of(SQ)),

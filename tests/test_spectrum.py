@@ -12,7 +12,6 @@ from char1.spectrum import (
     SupportDir,
     apply_char,
     attain_norm,
-    character_from_json,
     classify,
     prescribe,
     separate,
@@ -187,6 +186,4 @@ def test_character_monotone_and_bounded():
 
 def test_character_json():
     assert PointEval(F(1, 3)).to_json() == {"kind": "point", "t": "1/3"}
-    got = character_from_json({"kind": "dir", "psi": ["1", "0"]}, E)
-    assert got == SupportDir(Direction(1, 0), E)
-    assert character_from_json({"kind": "point", "t": "1/3"}) == PointEval(F(1, 3))
+    assert SupportDir(Direction(1, -2), E).to_json() == {"kind": "dir", "psi": ["1", "-2"]}

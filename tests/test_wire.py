@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from char1.congruence import ClosedSet
-from char1.convex import Direction, FracBody, Polygon
+from char1.convex import Direction, Polygon
 from char1.errors import PreconditionError, SchemaError
 from char1.paf import PAF
 from char1.scalars import MAX_DIGITS, fmt_rat, parse_int_literal, parse_rat
-from char1.spectrum import character_from_json
 from char1.valuation import CirclePAF, Quad
 
 LINE = {"domain": ["0", "1"], "breakpoints": ["0", "1"], "pieces": [{"a": "2", "b": "-1"}]}
@@ -42,13 +41,6 @@ BAD_SHAPES = {
         ({"vertices": [["0", 0]]}, "rational must be a string, got int"),
         ({"vertices": []}, "a polygon needs at least one vertex"),
     ],
-    FracBody.from_json: [
-        ([], "a fraction body must be an object"),
-        ({"pos": SQUARE}, "missing field 'neg' in a fraction body"),
-        ({"pos": SQUARE, "neg": {"vertices": "x"}}, "vertices must be a list"),
-        ({"pos": {"vertices": [["1", "1"]]}, "neg": SQUARE},
-         "fraction bodies must contain the origin"),
-    ],
     ClosedSet.from_json: [
         (None, "a closed set must be an object"),
         ({}, "missing field 'intervals' in a closed set"),
@@ -67,12 +59,6 @@ BAD_SHAPES = {
         ({"a": "0", "b": True}, QUAD_SHAPE),
         ({"a": "0", "b": "1/0"}, "bad rational '1/0': zero denominator"),
     ],
-    character_from_json: [
-        ("point", "a character must be an object"),
-        ({"kind": "point"}, "missing field 't' in a point character"),
-        ({"kind": "dir", "psi": "1"}, "a direction must be a list of two rationals"),
-        ({"kind": "dir", "psi": ["0", "0"]}, "direction must be nonzero"),
-    ],
 }
 CASES = [(decode, data, message) for decode, rows in BAD_SHAPES.items()
          for data, message in rows]
@@ -85,13 +71,6 @@ def test_every_bad_shape_is_a_schema_violation(decode, data, message):
     with pytest.raises(SchemaError) as exc:
         decode(data)
     assert str(exc.value) == message
-
-
-def test_character_needs_a_known_kind():
-    with pytest.raises(SchemaError, match="missing field 'kind' in a character"):
-        character_from_json({"t": "1/2"})
-    with pytest.raises(SchemaError, match="unknown character kind 'pt'"):
-        character_from_json({"kind": "pt", "t": "1/2"})
 
 
 @pytest.mark.parametrize("text, value", [
