@@ -138,7 +138,7 @@ class Polygon(Value):
 
     @classmethod
     def origin(cls) -> "Polygon":
-        return cls(((Fraction(0), Fraction(0)),))
+        return _ORIGIN
 
     @classmethod
     def square(cls, half_width=1) -> "Polygon":
@@ -191,9 +191,13 @@ class Polygon(Value):
                                 for v in parse_list(vertices, "vertices")))
 
 
-# The default unit body E = [-1, 1]^2.  One shared object, so that its
-# facets are checked and built once for every caller that takes the default.
+# Shared bodies, built once from integers.  The default unit body
+# E = [-1, 1]^2 is one object, so that its facets are checked and built once
+# for every caller that takes the default; the four axis segments
+# [0, +-e1], [0, +-e2] are the probes of ``spectrum.separate``.
+_ORIGIN = _store_hull([(0, 0)], 1)
 DEFAULT_UNIT = Polygon.square()
+_AXIS_PROBES = tuple(_from_int_hull([(0, 0), v], 1) for v in ((1, 0), (-1, 0), (0, 1), (0, -1)))
 
 
 def _int_pair(v) -> tuple[int, int, int]:
@@ -210,15 +214,16 @@ def _int_pair(v) -> tuple[int, int, int]:
 
 
 def _rescale(a: Polygon, b: Polygon):
-    """Integer vertex lists of both bodies over one common denominator."""
+    """Integer vertex lists of both bodies over one common denominator: a
+    body whose factor is 1 gives its stored tuple as it is."""
     if a.__class__ is not Polygon or b.__class__ is not Polygon:
         raise PreconditionError(f"expected two Polygons, got {type(a).__name__} "
                                 f"and {type(b).__name__}")
     g = math.gcd(a._den, b._den)
     den = a._den // g * b._den
     sa, sb = den // a._den, den // b._den
-    ia = [(x * sa, y * sa) for x, y in a._iverts]
-    ib = [(x * sb, y * sb) for x, y in b._iverts]
+    ia = a._iverts if sa == 1 else [(x * sa, y * sa) for x, y in a._iverts]
+    ib = b._iverts if sb == 1 else [(x * sb, y * sb) for x, y in b._iverts]
     return den, ia, ib
 
 
@@ -271,7 +276,7 @@ def minkowski(a: Polygon, b: Polygon) -> Polygon:
 def hull_union(a: Polygon, b: Polygon) -> Polygon:
     """Convex hull of the union: the tropical sum of the body semiring."""
     den, ia, ib = _rescale(a, b)
-    return _from_int_hull(ia + ib, den)
+    return _from_int_hull([*ia, *ib], den)
 
 
 class Direction(Value):
@@ -472,6 +477,17 @@ class FracBody(Value):
         return cls(body, Polygon.origin())
 
 
+def _frac(pos: Polygon, neg: Polygon) -> FracBody:
+    """A FracBody made without ``__post_init__``: the path by which the
+    ``frac_*`` walks and the semifield adapter emit one, as ``paf._store``
+    is for PAFs.  ``FracBody(pos, neg)`` stays the decoder of outside data.
+    The sides hold the origin by construction: Minkowski sums, hulls of
+    unions and dilations by q >= 0 of origin-containing bodies contain it."""
+    x = object.__new__(FracBody)
+    x.__dict__.update(pos=pos, neg=neg)
+    return x
+
+
 def frac_equal(x: FracBody, y: FracBody) -> bool:
     """Cancellative equality: A - B = A' - B' iff A + B' = A' + B."""
     check_model(x, FracBody)
@@ -483,21 +499,19 @@ def frac_oplus(x: FracBody, y: FracBody) -> FracBody:
     """Tropical sum of differences: hull((A1+B2) u (A2+B1)) - (B1+B2)."""
     check_model(x, FracBody)
     check_model(y, FracBody)
-    return FracBody(
-        hull_union(minkowski(x.pos, y.neg), minkowski(y.pos, x.neg)),
-        minkowski(x.neg, y.neg),
-    )
+    return _frac(hull_union(minkowski(x.pos, y.neg), minkowski(y.pos, x.neg)),
+                 minkowski(x.neg, y.neg))
 
 
 def frac_plus(x: FracBody, y: FracBody) -> FracBody:
     check_model(x, FracBody)
     check_model(y, FracBody)
-    return FracBody(minkowski(x.pos, y.pos), minkowski(x.neg, y.neg))
+    return _frac(minkowski(x.pos, y.pos), minkowski(x.neg, y.neg))
 
 
 def frac_neg(x: FracBody) -> FracBody:
     check_model(x, FracBody)
-    return FracBody(x.neg, x.pos)
+    return _frac(x.neg, x.pos)
 
 
 def frac_scale(q, x: FracBody) -> FracBody:
@@ -505,7 +519,7 @@ def frac_scale(q, x: FracBody) -> FracBody:
     check_model(x, FracBody)
     if q < 0:
         return frac_scale(-q, frac_neg(x))
-    return FracBody(x.pos.dilate(q), x.neg.dilate(q))
+    return _frac(x.pos.dilate(q), x.neg.dilate(q))
 
 
 def norm_ray(x: FracBody, e: Polygon) -> tuple[tuple[int, int], Fraction]:
@@ -564,7 +578,10 @@ class PolygonFractionSemifield(CharOneSemifield):
 
     def __init__(self, unit_body: Polygon | None = None):
         self._unit_body = unit_body if unit_body is not None else DEFAULT_UNIT
-        facets(self._unit_body)
+        facets(self._unit_body)  # also checks that the origin is strictly inside
+        origin = Polygon.origin()
+        self._zero = _frac(origin, origin)
+        self._unit = _frac(self._unit_body, origin)
 
     def oplus(self, x, y):
         return frac_oplus(x, y)
@@ -580,11 +597,11 @@ class PolygonFractionSemifield(CharOneSemifield):
 
     @property
     def zero(self):
-        return FracBody(Polygon.origin(), Polygon.origin())
+        return self._zero
 
     @property
     def unit(self):
-        return FracBody.of(self._unit_body)
+        return self._unit
 
     def eq(self, x, y):
         return frac_equal(x, y)
@@ -595,8 +612,7 @@ class PolygonFractionSemifield(CharOneSemifield):
     def random(self, rng):
         # triangles and degenerate bodies keep the law suites inside their
         # time budget; the convex suite exercises richer shapes
-        return FracBody(random_polygon(rng, max_extra=2),
-                        random_polygon(rng, max_extra=2))
+        return _frac(random_polygon(rng, max_extra=2), random_polygon(rng, max_extra=2))
 
 
 def random_polygon(rng, max_extra=3, lim=4) -> Polygon:

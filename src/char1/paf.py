@@ -434,6 +434,8 @@ class PAFSemifield(CharOneSemifield):
 
     def __init__(self, lo=0, hi=1):
         self._lo, self._hi = as_rat(lo), as_rat(hi)
+        self._zero = PAF.constant(0, self._lo, self._hi)
+        self._unit = PAF.constant(1, self._lo, self._hi)
 
     def oplus(self, x, y):
         return x.oplus(y)
@@ -449,11 +451,11 @@ class PAFSemifield(CharOneSemifield):
 
     @property
     def zero(self):
-        return PAF.constant(0, self._lo, self._hi)
+        return self._zero
 
     @property
     def unit(self):
-        return PAF.constant(1, self._lo, self._hi)
+        return self._unit
 
     def r_norm(self, x):
         return x.r_norm()

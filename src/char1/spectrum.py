@@ -137,9 +137,8 @@ def separate(phi1: Character, phi2: Character, domain=(0, 1)):
             raise PreconditionError("characters normalized against different units")
         if phi1 == phi2:
             raise PreconditionError("characters coincide")
-        from .convex import Polygon
-        probes = [Polygon(((0, 0), v)) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
-        for a in probes:
+        from .convex import _AXIS_PROBES
+        for a in _AXIS_PROBES:
             if apply_char(phi1, a) != apply_char(phi2, a):
                 return a
         raise AssertionError("unreachable: axis probes separate distinct rays")

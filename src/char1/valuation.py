@@ -121,9 +121,6 @@ class Quad:
             n, d = -n, -d
         return _quad((self.p * p - 2 * self.q * q) * d, (self.q * p - self.p * q) * d, self.d * n)
 
-    def sign(self) -> int:
-        return _sign(self.p, self.q)
-
     def _cmp(self, other) -> int:
         p, q, d = _parts(other)
         if d == self.d:
@@ -149,9 +146,6 @@ class Quad:
 
     def __hash__(self):
         return hash(Fraction(self.p, self.d)) if self.q == 0 else hash((self.p, self.q, self.d))
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
 
     @property
     def is_rational(self) -> bool:

@@ -1,6 +1,7 @@
 """Verdicts of tools/bench_pairs.py on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,9 +58,30 @@ def test_runs_compile_from_source(monkeypatch):
 
     def fake_run(cmd, env, **kwargs):
         seen.update(env)
-        out = '{}\n{"metrics": {}, "correct": true}\n'
+        out = '{}\n{"metrics": {}, "correct": true, "attempted": 1, "failed": 0}\n'
         return bench_pairs.subprocess.CompletedProcess(cmd, 0, out)
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     bench_pairs.run_once(".", "cli", 1, 1.0)
     assert seen["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_each_side_reports_its_failed_share(monkeypatch):
+    """A change that fails a larger share of its operations shows it in the
+    pair file, run by run and as one share per side."""
+    failed = {"base": 0, "change": 3}
+
+    def fake_run(cmd, cwd, **kwargs):
+        bad = failed[cwd]
+        result = {"correct": bad == 0, "attempted": 100, "failed": bad,
+                  "metrics": {"ops_per_s": {"value": 10.0, "unit": "1/s"}}}
+        out = json.dumps({"speed_scale": 1.0}) + "\n" + json.dumps(result) + "\n"
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, out)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = bench_pairs.compare("base", "change", "laws", 2, 1.0, 1, {"ops_per_s": "higher"},
+                              {"ops_per_s": 0.25})
+    assert (out["base"]["attempted"], out["base"]["failed"]) == ([100, 100], [0, 0])
+    assert (out["change"]["attempted"], out["change"]["failed"]) == ([100, 100], [3, 3])
+    assert out["base"]["failed_share"] == 0 and out["change"]["failed_share"] == 0.03
+    assert out["base"]["correct"] and not out["change"]["correct"]

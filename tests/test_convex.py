@@ -30,6 +30,7 @@ from char1.convex import (
 )
 from char1.errors import PreconditionError
 from char1.laws import support_mismatch
+from char1.paf import PAFSemifield
 
 SEG_X = Polygon.hull([(0, 0), (1, 0)])
 SEG_Y = Polygon.hull([(0, 0), (0, 1)])
@@ -488,3 +489,58 @@ def test_random_polygon_matches_the_fraction_construction():
             assert (got._den, got._iverts) == (want._den, want._iverts)
             assert got == want and got.vertices == want.vertices
         assert rng.getstate() == twin.getstate()
+
+
+# -- results emitted in stored form --------------------------------------------------
+
+
+def test_frac_walk_results_pass_the_decoder():
+    """The frac_* walks emit through ``_frac`` without ``FracBody``'s checks;
+    each result is one that the decoder accepts, as the same value."""
+    rng = random.Random(71)
+    shapes = [Polygon.origin(), SEG_X, SEG_Y, Polygon.hull([(0, 0), (-3, 2)]), TRI, E]
+    ops = PolygonFractionSemifield()
+    for _ in range(200):
+        x, y = (FracBody(rng.choice(shapes) if rng.random() < 0.3 else random_polygon(rng),
+                         random_polygon(rng, max_extra=rng.randint(0, 3)))
+                for _ in "xy")
+        q = rng.choice([0, F(rng.randint(-9, 9), rng.randint(1, 5))])
+        for r in (frac_oplus(x, y), cx.frac_plus(x, y), cx.frac_neg(x), cx.frac_scale(q, x),
+                  cx.frac_scale(-abs(q) - 1, y), ops.zero, ops.unit):
+            assert r.__class__ is FracBody
+            assert FracBody(r.pos, r.neg) == r
+
+
+def test_origin_and_zero_dilation_decode_nothing(monkeypatch):
+    calls = []
+    decode = Polygon.__post_init__
+    monkeypatch.setattr(Polygon, "__post_init__", lambda self: calls.append(1) or decode(self))
+    origin = Polygon.origin()
+    assert origin is Polygon.origin() and TRI.dilate(0) is origin
+    assert (origin._den, origin._iverts) == (1, ((0, 0),))
+    assert calls == []
+    assert Polygon(((0, 0),)) == origin and calls == [1]
+
+
+@pytest.mark.parametrize("ops", [PolygonFractionSemifield(),
+                                 PolygonFractionSemifield(Polygon.square(F(2, 3))),
+                                 PAFSemifield(), PAFSemifield(-1, F(1, 2))],
+                         ids=["convex", "convex-unit", "paf", "paf-domain"])
+def test_zero_and_unit_are_built_once(ops):
+    assert ops.zero is ops.zero and ops.unit is ops.unit
+    assert ops.eq(ops.plus(ops.unit, ops.zero), ops.unit)
+    assert ops.r_norm(ops.unit) == 1 and ops.r_norm(ops.zero) == 0
+
+
+def test_rescale_matches_the_scaled_copies():
+    rng = random.Random(73)
+    for _ in range(200):
+        a, b = rational_polygon(rng, rng.randint(1, 5)), rational_polygon(rng, rng.randint(1, 5))
+        if rng.random() < 0.3:
+            b = a.rotate90()  # the same denominator: both factors 1
+        den, ia, ib = cx._rescale(a, b)
+        assert den == math.lcm(a._den, b._den)
+        for body, got in ((a, ia), (b, ib)):
+            s = den // body._den
+            assert list(got) == [(x * s, y * s) for x, y in body._iverts]
+            assert (got is body._iverts) == (s == 1)

@@ -13,7 +13,8 @@ import pytest
 
 import char1
 from char1.congruence import ClosedSet, quotient_norm
-from char1.convex import FracBody, Polygon, hull_union, merged_fan, minkowski, norm_ray, polar
+from char1.convex import (FracBody, Polygon, _supports, hull_union, merged_fan, minkowski,
+                          norm_ray, polar)
 from char1.paf import PAF
 from char1.valuation import CirclePAF, convexity_criterion, germ, kink
 
@@ -100,8 +101,12 @@ LINEAR = {
     "minkowski": (minkowski, BODY_SIZES, body_args),
     "hull_union": (hull_union, BODY_SIZES, body_args),
     "merged_fan": (merged_fan, BODY_SIZES, body_args),
+    "_supports": (_supports, BODY_SIZES, lambda n: (body(n, 0), merged_fan(*body_args(n)))),
     "norm_ray": (norm_ray, BODY_SIZES, lambda n: (FracBody(*body_args(n)), Polygon.square())),
     "from_samples": (PAF.from_samples, PAF_SIZES, lambda n: (samples(n, 1),)),
+    "_values": (PAF._values, PAF_SIZES, lambda n: (paf(n, 1),)),
+    "PAF.from_json": (PAF.from_json, PAF_SIZES, lambda n: (paf(n, 1).to_json(),)),
+    "Polygon.from_json": (Polygon.from_json, BODY_SIZES, lambda n: (body(n, 0).to_json(),)),
     "polar": (polar, BODY_SIZES, lambda n: (body(n, 0),)),
     # a random PAF stops at its first negative kink, so the input is convex
     "convexity_criterion": (convexity_criterion, PAF_SIZES, lambda n: (convex_paf(n),)),

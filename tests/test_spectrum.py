@@ -187,3 +187,20 @@ def test_character_monotone_and_bounded():
 def test_character_json():
     assert PointEval(F(1, 3)).to_json() == {"kind": "point", "t": "1/3"}
     assert SupportDir(Direction(1, -2), E).to_json() == {"kind": "dir", "psi": ["1", "-2"]}
+
+
+def test_separating_directions_decodes_no_polygon(monkeypatch):
+    """The four axis probes are built once, so ``separate`` constructs no body."""
+    calls = []
+    decode = Polygon.__post_init__
+    monkeypatch.setattr(Polygon, "__post_init__", lambda self: calls.append(1) or decode(self))
+    rng = random.Random(31)
+    found = set()
+    for _ in range(100):
+        d1, d2 = random_direction(rng), random_direction(rng)
+        if d1 != d2:
+            found.add(separate(SupportDir(d1, E), SupportDir(d2, E)))
+    assert calls == []
+    monkeypatch.undo()
+    assert len(found) > 1
+    assert found <= {Polygon(((0, 0), v)) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))}

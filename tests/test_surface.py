@@ -29,8 +29,6 @@ UNREACHED = {
     "Quad.to_json": "CirclePAF.to_json writes each coordinate with it",
     "Quad.a": "a rational coordinate, read by the repr and the wire form of a Quad",
     "Quad.b": "a rational coordinate, read by the repr and the wire form of a Quad",
-    "Quad.sign": "the sign test of Q(sqrt 2) on its own; tests/test_valuation.py checks it "
-                 "against an exact reference",
     "ArcSection.piece_at": "the query on one local section, the arc's form of "
                            "CirclePAF.piece_at; glue reads the same lookup directly",
     "ClosedSet.point": "ClosedSet.of((t, t)) by name, for callers and examples",

@@ -16,9 +16,10 @@ workloads, each with the same ``--pairs`` count.
 
 The output JSON holds, per workload and side, every run's end-to-end
 metrics with their medians and quartiles, the seeds, each run's speed scale,
-the number of pairs the change won on each metric, and a verdict per
-metric against its BENCHMARK.json bound: "worse", "unresolved" or
-"within" (see ``verdict``).  The direction of "better" and the bounds are
+each run's attempted and failed operations with the side's failed share
+(failed over attempted, summed over its runs), the number of pairs the
+change won on each metric, and a verdict per metric against its
+BENCHMARK.json bound: "worse", "unresolved" or "within" (see ``verdict``).  The direction of "better" and the bounds are
 read from BENCHMARK.json.  Standard library only.
 """
 
@@ -41,7 +42,8 @@ def bytecode_caches(checkout: str) -> list:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in checkout: its metric values, speed scale and notes."""
+    """One benchmark run in checkout: its metric values, speed scale, and the
+    operations it attempted and failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
@@ -49,7 +51,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
     notes, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "correct": result["correct"], "speed_scale": notes.get("speed_scale")}
+            "correct": result["correct"], "speed_scale": notes.get("speed_scale"),
+            "attempted": result["attempted"], "failed": result["failed"]}
 
 
 def summary(values: list) -> dict:
@@ -88,9 +91,13 @@ def compare(base: str, change: str, workload: str, pairs: int, seconds: float,
             print(f"{workload} pair {i + 1}/{pairs} seed {seed} {side} done", file=sys.stderr)
     out = {"seeds": seeds, "pairs": pairs}
     for side, rs in runs.items():
+        attempted, failed = [r["attempted"] for r in rs], [r["failed"] for r in rs]
         out[side] = {
             "correct": all(r["correct"] for r in rs),
             "speed_scale": [r["speed_scale"] for r in rs],
+            "attempted": attempted,
+            "failed": failed,
+            "failed_share": sum(failed) / sum(attempted),
             "metrics": {m: summary([r["metrics"][m] for r in rs]) for m in rs[0]["metrics"]},
         }
     wins = {}
