@@ -14,7 +14,7 @@ import importlib
 _SUBMODULE = {
     **dict.fromkeys(("ClosedSet", "FractionRestriction", "RestrictionCongruence",
                      "class_of_zero_contains", "join", "meet", "min_representative",
-                     "quotient_norm", "related", "sandwich", "zariski_laws"), "congruence"),
+                     "quotient_norm", "related", "zariski_laws"), "congruence"),
     **dict.fromkeys(("Direction", "FracBody", "Polygon", "PolygonFractionSemifield",
                      "char_eval", "frac_equal", "frac_oplus", "hull_union", "i_invariant",
                      "i_symmetrize", "minkowski", "polar", "r_norm_body", "r_norm_euclidean",
@@ -25,11 +25,9 @@ _SUBMODULE = {
     **dict.fromkeys(("SCALAR", "CharOneSemifield", "ScalarTrop"), "semifield"),
     **dict.fromkeys(("Character", "Classification", "PointEval", "SupportDir", "apply_char",
                      "attain_norm", "classify", "prescribe", "separate"), "spectrum"),
-    **dict.fromkeys(("ArcSection", "CirclePAF", "Quad", "SQRT2",
-                     "circle_global_sections_are_constant", "circle_section_valid",
-                     "convexity_criterion", "germ", "glue", "is_local_unit", "k_defined_check",
-                     "kink", "local_morphism_check", "restrict_to_arc", "smooth_neighborhood",
-                     "valuation_at"), "valuation"),
+    **dict.fromkeys(("ArcSection", "CirclePAF", "Quad", "SQRT2", "circle_section_valid",
+                     "convexity_criterion", "germ", "glue", "is_local_unit", "kink",
+                     "restrict_to_arc", "smooth_neighborhood", "valuation_at"), "valuation"),
 }
 
 __all__ = sorted(_SUBMODULE)

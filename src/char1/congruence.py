@@ -120,18 +120,6 @@ def class_of_zero_contains(r: RestrictionCongruence, f: PAF) -> bool:
     return r.is_trivial or quotient_norm(f, r.k) == 0
 
 
-def sandwich(r: RestrictionCongruence, a: PAF, b: PAF, c: PAF) -> bool:
-    """Membership of the middle term in the class of zero, given a <= b <= c.
-
-    When a and c lie in the class of zero, the order absorbs b into it as
-    well, so the result is then always True.
-    """
-    check_model(a, PAF)
-    if not a.oplus(b) == b or not b.oplus(c) == c:
-        raise PreconditionError("sandwich requires a <= b <= c")
-    return class_of_zero_contains(r, b)
-
-
 def quotient_norm(f: PAF, k: ClosedSet, g: PAF | None = None) -> Fraction:
     """Largest |f| over the closed set: the norm of the class of f.  Given
     g, the norm of the class of f - g, formed once on the whole domain.
@@ -150,6 +138,7 @@ def quotient_norm(f: PAF, k: ClosedSet, g: PAF | None = None) -> Fraction:
 
 def min_representative(f: PAF, k: ClosedSet) -> PAF:
     """The congruent function of least norm: clamp at the quotient norm."""
+    check_model(f, PAF)
     return f.clamp(quotient_norm(f, k))
 
 

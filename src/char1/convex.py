@@ -564,6 +564,7 @@ def i_invariant(a: Polygon) -> bool:
 
 def i_symmetrize(a: Polygon) -> Polygon:
     """Hull of the four rotations: the least i-invariant body containing a."""
+    check_model(a, Polygon)
     return _from_int_hull([v for x, y in a._iverts
                            for v in ((x, y), (-y, x), (-x, -y), (y, -x))], a._den)
 

@@ -120,10 +120,6 @@ class PAF(Value):
     def hi(self) -> Fraction:
         return _rat(self._bps[-1])
 
-    @property
-    def domain(self) -> tuple[Fraction, Fraction]:
-        return (self.lo, self.hi)
-
     def _cell_index(self, t: Fraction) -> int:
         # rightmost cell whose left endpoint is <= t; t == hi lands in the last
         return min(bisect_right(self._bps, 0, key=_minus(t)), len(self._pcs)) - 1

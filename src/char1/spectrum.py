@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .paf import PAF
 from .scalars import Value, as_pair, as_rat, check_model, fmt_rat
+from .semifield import CharOneSemifield
 
 
 def __getattr__(name):  # ``char_eval`` of the convex model, re-exported on first use
@@ -151,6 +152,8 @@ def prescribe(ops, phi1: Character, phi2: Character, z, alpha, beta):
     Requires phi1(z) != phi2(z); the coefficients solve the 2x2 rational
     system, so the prescribed values are exact.
     """
+    if not isinstance(ops, CharOneSemifield):
+        raise PreconditionError(f"expected a semifield's operation table, got {type(ops).__name__}")
     a1, a2 = apply_char(phi1, z), apply_char(phi2, z)
     if a1 == a2:
         raise PreconditionError("z does not separate the characters")

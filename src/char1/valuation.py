@@ -265,40 +265,6 @@ def smooth_neighborhood(f: PAF, x0) -> tuple[Fraction, Fraction]:
     return f.breakpoints[i], f.breakpoints[i + 1]
 
 
-def local_morphism_check(alpha, beta, x_src, x_dst, elements=None,
-                         domain=(0, 1)) -> bool:
-    """Is the pullback by t -> alpha*t + beta, sending the point character
-    at x_dst to the one at x_src, a local morphism?
-
-    Checks the two defining conditions on a finite test set: the point
-    characters must correspond (alpha*x_dst + beta = x_src), and strictly
-    positive valuations must transport to strictly positive valuations in
-    both directions.  The valuation of f - f(x)*E at x is read straight off
-    f, without building the difference.
-    """
-    alpha, beta = as_rat(alpha), as_rat(beta)
-    x_src, x_dst = as_rat(x_src), as_rat(x_dst)
-    lo, hi = as_pair(domain, "a domain")
-    if alpha * x_dst + beta != x_src:
-        return False
-    if elements is None:
-        elements = _default_probe_elements(x_src, lo, hi)
-    for f in elements:
-        if f.domain != (lo, hi):
-            raise PreconditionError("probe elements must live on the domain")
-        pulled = f.compose_affine(alpha, beta, lo, hi)
-        if (_shifted_valuation(f, x_src) > 0) != (_shifted_valuation(pulled, x_dst) > 0):
-            return False
-    return True
-
-
-def _default_probe_elements(x, lo, hi):
-    out = [PAF.identity(lo, hi), PAF.constant(1, lo, hi)]
-    if lo < x < hi:
-        out.append(PAF.affine(1, -x, lo, hi).oplus(PAF.affine(-1, x, lo, hi)))
-    return out
-
-
 # -- circle sections -------------------------------------------------------------
 
 
@@ -439,56 +405,6 @@ def circle_section_valid(s: CirclePAF) -> bool:
     return all(k >= _Q0 for _, k in s.kinks())
 
 
-def circle_kink_sum(s: CirclePAF) -> Quad:
-    """Sum of kinks around the circle; telescopes to zero always."""
-    total = _Q0
-    for _, k in s.kinks():
-        total = total + k
-    return total
-
-
-def try_nonconstant_valid_section(breaks_and_kinks) -> CirclePAF | None:
-    """Attempt to realize prescribed nonnegative kinks as a valid section.
-
-    Returns the section when the integrated data closes up around the
-    wrap and every realized kink is nonnegative, else None.  Kinks
-    telescope to zero, so any strictly positive jump forces a negative
-    one elsewhere: only the all-zero data survive.
-    """
-    try:
-        s = CirclePAF.from_kinks(Fraction(0), Fraction(0), breaks_and_kinks)
-    except PreconditionError:
-        return None
-    return s if circle_section_valid(s) else None
-
-
-def circle_global_sections_are_constant(rng, trials=200) -> bool:
-    """Property check: no generator run produces a nonconstant valid section.
-
-    Tries random nonnegative kink prescriptions (closure kills them all)
-    and random continuous sections (validity forces constancy); returns
-    False the moment a nonconstant valid section shows up, which the
-    telescoping-kink argument rules out.
-    """
-    for _ in range(trials):
-        spots = sorted(rng.sample(range(1, 12), rng.randint(1, 3)))
-        kinks = [(Fraction(s, 12), Fraction(rng.randint(0, 3))) for s in spots]
-        built = try_nonconstant_valid_section(kinks)
-        if built is not None and not built.is_constant():
-            return False
-        try:
-            free = CirclePAF.from_kinks(
-                Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                [(Fraction(s, 12), Fraction(rng.randint(-3, 3))) for s in spots],
-            )
-        except PreconditionError:
-            continue
-        if circle_section_valid(free) and not free.is_constant():
-            return False
-    return True
-
-
 # -- arc sections: restriction, gluing, germs -------------------------------------
 
 
@@ -585,23 +501,3 @@ def germ(s: CirclePAF, x) -> tuple[tuple[Quad, Quad], tuple[Quad, Quad]]:
         return right, right
     left = s.pieces[i - 1]
     return (_shift_piece(left, 1) if i == 0 else left), right
-
-
-def k_defined_check(s0, left, right) -> bool:
-    """The rationally-defined-subsheaf test at one junction.
-
-    left/right are rational (slope, intercept) pairs meeting at s0; raises
-    if they do not actually meet there.  At an irrational s0 a rational
-    junction cannot kink (rational independence forces equal pieces), so
-    the check returns whether the kink vanishes; at a rational s0 the
-    weaker condition applies: the kink must be a nonnegative rational.
-    """
-    s0 = Quad._coerce(s0)
-    a, b = as_pair(left, "the left piece")
-    a2, b2 = as_pair(right, "the right piece")
-    if s0 * a + b != s0 * a2 + b2:
-        raise PreconditionError("pieces do not meet at the junction")
-    kink_val = a2 - a
-    if s0.is_rational:
-        return kink_val >= 0
-    return kink_val == 0

@@ -62,15 +62,6 @@ def test_support_examples():
     assert SEG_X.support((F(0), F(1))) == 0
 
 
-def test_support_isomorphism_random():
-    rng = random.Random(2)
-    for _ in range(80):
-        a, b = random_polygon(rng), random_polygon(rng)
-        psi = random_direction(rng).as_pair()
-        assert hull_union(a, b).support(psi) == max(a.support(psi), b.support(psi))
-        assert minkowski(a, b).support(psi) == a.support(psi) + b.support(psi)
-
-
 def _random_body(rng, max_points=5, lim=5):
     """A random hull of 1 to max_points rational points, not always
     holding the origin."""
@@ -193,14 +184,6 @@ def _facets(e):
         return facets(e)
     except PreconditionError:
         return None
-
-
-def test_dual_norm_identity():
-    rng = random.Random(13)
-    pole = polar(E)
-    for _ in range(100):
-        a = random_polygon(rng)
-        assert r_norm_body(a, E) == max(a.support(v) for v in pole.vertices)
 
 
 def test_char_eval_examples():

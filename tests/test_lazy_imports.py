@@ -109,4 +109,4 @@ print(json.dumps(out))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "unbound": [], "mismatched": [], "cached": [], "undir": [],
-        "unknown": "module 'char1' has no attribute 'no_such_name'", "count": 62}
+        "unknown": "module 'char1' has no attribute 'no_such_name'", "count": 58}

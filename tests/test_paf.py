@@ -207,7 +207,7 @@ def test_leq_matches_pointwise_on_breakpoints():
 
 def test_restrict_and_compose_affine():
     f = HAT.restrict(F(1, 4), F(3, 4))
-    assert f.domain == (F(1, 4), F(3, 4))
+    assert (f.lo, f.hi) == (F(1, 4), F(3, 4))
     assert f.eval(F(1, 2)) == 0 and f.eval(F(1, 4)) == F(1, 4)
     g = HAT.compose_affine(F(1, 2), 0, 0, 1)  # t -> HAT(t/2)
     assert g.eval(1) == HAT.eval(F(1, 2))
@@ -224,7 +224,7 @@ def test_restrict_agrees_at_its_ends_and_breakpoints():
         f = random_paf(rng, max_cuts=8)
         a, b = sorted(rng.sample([F(i, 12) for i in range(13)], 2))
         g = f.restrict(a, b)
-        assert g.domain == (a, b)
+        assert (g.lo, g.hi) == (a, b)
         for t in [a, b] + [t for t in f.breakpoints if a < t < b]:
             assert g(t) == f(t)
     for a, b in [(F(1, 2), F(1, 2)), (F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))]:

@@ -14,20 +14,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from char1.congruence import (ClosedSet, FractionRestriction, RestrictionCongruence,
-                              class_of_zero_contains, cutoff, join, meet,
-                              order_witness, quotient_norm, related, sandwich, zariski_laws)
+                              class_of_zero_contains, cutoff, join, meet, min_representative,
+                              order_witness, quotient_norm, related, zariski_laws)
 from char1.convex import (Direction, FracBody, Polygon, PolygonFractionSemifield, char_eval,
                           frac_equal, frac_neg, frac_oplus, frac_plus, frac_scale, hull_union,
-                          i_invariant, minkowski, polar, r_norm_body, r_norm_euclidean,
-                          r_norm_frac)
+                          i_invariant, i_symmetrize, minkowski, polar, r_norm_body,
+                          r_norm_euclidean, r_norm_frac)
 from char1.errors import Char1Error, PreconditionError
+from char1.laws import run_suite
 from char1.paf import PAF, PAFSemifield, convex_split
 from char1.scalars import as_nat, as_pair, as_rat, fmt_rat
 from char1.semifield import SCALAR
 from char1.spectrum import PointEval, attain_norm, classify, prescribe, separate
 from char1.valuation import (CirclePAF, Quad, circle_section_valid, convexity_criterion, germ,
-                             glue, is_local_unit, k_defined_check, kink, local_morphism_check,
-                             restrict_to_arc, smooth_neighborhood, valuation_at)
+                             glue, is_local_unit, kink, restrict_to_arc, smooth_neighborhood,
+                             valuation_at)
 
 f = PAF.identity()
 SQ = Polygon.square()
@@ -90,7 +91,6 @@ PROBES = {
     "valuation_at": lambda: valuation_at("x", f),
     "is_local_unit": lambda: is_local_unit(f, "x"),
     "smooth_neighborhood": lambda: smooth_neighborhood(f, "x"),
-    "k_defined_check": lambda: k_defined_check("x", (0, 0), (0, 0)),
     "Quad": lambda: Quad("x"),
     "CirclePAF.constant": lambda: CirclePAF.constant("x"),
     "Polygon.dilate": lambda: Polygon.square().dilate("x"),
@@ -144,7 +144,6 @@ PROBES = {
     "join-int": lambda: join(R, 3),
     "related-int": lambda: related(3, f, f),
     "class_of_zero_contains-int": lambda: class_of_zero_contains(3, f),
-    "sandwich-int": lambda: sandwich(R, 3, f, f),
     "order_witness-int": lambda: order_witness(3, f, K),
     "cutoff-f-int": lambda: cutoff(3, K),
     "cutoff-k-int": lambda: cutoff(f, 3),
@@ -161,6 +160,9 @@ PROBES = {
     "power_identity_check-float": lambda: SCALAR.power_identity_check(2.0, F(1), F(2)),
     "as_nat-below": lambda: as_nat(0, 1),
     "as_nat-object": lambda: as_nat(object(), 0),
+    "run_suite-unknown": lambda: run_suite("nonsense"),
+    "run_suite-float-cases": lambda: run_suite("convex", cases=2.5),
+    "run_suite-negative-cases": lambda: run_suite("convex", cases=-3),
 }
 
 
@@ -182,6 +184,9 @@ MODEL_ENTRIES = {
     "glue": glue,
     "glue-item": lambda x: glue([restrict_to_arc(S, 0, F(3, 5)), x]),
     "convex_split": convex_split,
+    "min_representative": lambda x: min_representative(x, K),
+    "i_symmetrize": i_symmetrize,
+    "prescribe": lambda x: prescribe(x, PointEval(0), PointEval(1), f, 0, 1),
 }
 
 
@@ -274,9 +279,6 @@ SCALAR_ENTRIES = {
     "valuation_at": lambda x: valuation_at(x, f - f),
     "is_local_unit": lambda x: is_local_unit(f, x),
     "smooth_neighborhood": lambda x: smooth_neighborhood(f, x),
-    "local_morphism_check": lambda x: local_morphism_check(x, 0, 0, 0),
-    "local_morphism_check-x": lambda x: local_morphism_check(1, 0, x, x),
-    "k_defined_check": lambda x: k_defined_check(x, (0, 0), (0, 0)),
 }
 
 # entry -> a call of it with one pair drawn, the other arguments valid
@@ -292,9 +294,6 @@ PAIR_ENTRIES = {
     "Polygon.contains": SQ.contains,
     "char_eval": lambda p: char_eval(p, SQ, SQ),
     "separate": lambda p: separate(PointEval(0), PointEval(1), p),
-    "local_morphism_check": lambda p: local_morphism_check(1, 0, 0, 0, domain=p),
-    "k_defined_check-left": lambda p: k_defined_check(0, p, (0, 0)),
-    "k_defined_check-right": lambda p: k_defined_check(F(1, 2), (0, 0), p),
 }
 
 

@@ -153,17 +153,6 @@ def test_separate_mixed_models():
         separate(PointEval(F(1, 2)), SupportDir(Direction(1, 0), E))
 
 
-def test_separate_random_pairs():
-    rng = random.Random(23)
-    for _ in range(100):
-        d1, d2 = random_direction(rng), random_direction(rng)
-        if d1 == d2:
-            continue
-        p1, p2 = SupportDir(d1, E), SupportDir(d2, E)
-        z = separate(p1, p2)
-        assert apply_char(p1, z) != apply_char(p2, z)
-
-
 def test_prescribe_hits_exact_values():
     ops = PAFSemifield()
     phi1, phi2 = PointEval(F(1, 4)), PointEval(F(3, 4))
@@ -173,15 +162,6 @@ def test_prescribe_hits_exact_values():
     assert apply_char(phi1, y) == F(-2, 3) and apply_char(phi2, y) == F(7, 5)
     with pytest.raises(PreconditionError):
         prescribe(ops, phi1, phi2, PAF.constant(4), 0, 1)
-
-
-def test_character_monotone_and_bounded():
-    rng = random.Random(29)
-    for _ in range(60):
-        f, g = random_paf(rng), random_paf(rng)
-        phi = PointEval(F(rng.randint(0, 12), 12))
-        assert apply_char(phi, f) <= apply_char(phi, f.oplus(g))
-        assert abs(apply_char(phi, f)) <= f.r_norm()
 
 
 def test_character_json():

@@ -6,30 +6,26 @@ from fractions import Fraction as F
 import pytest
 
 from char1.errors import PreconditionError
-from char1.laws import random_circle_section, random_convex_paf
+from char1.laws import VALUATION_LAWS, _k_defined, random_convex_paf
 from char1.paf import PAF, random_paf
 from char1.valuation import (
-    circle_global_sections_are_constant,
     SQRT2,
-    ArcSection,
     CirclePAF,
     Quad,
-    circle_kink_sum,
     circle_section_valid,
     convexity_criterion,
     germ,
     glue,
     is_local_unit,
-    k_defined_check,
     kink,
-    local_morphism_check,
     restrict_to_arc,
     smooth_neighborhood,
-    try_nonconstant_valid_section,
     valuation_at,
 )
 
 HAT = PAF.affine(1, F(-1, 2)).oplus(PAF.affine(-1, F(1, 2)))
+local_morphism = VALUATION_LAWS["affine pullbacks are local morphisms"]
+kinks_telescope = VALUATION_LAWS["kinks telescope"]
 
 
 def rational_between(u: Quad, v: Quad) -> F:
@@ -258,13 +254,6 @@ def test_convexity_criterion_examples():
     assert convexity_criterion(PAF.affine(-2, 1))
 
 
-def test_convexity_criterion_oracle_equivalence():
-    rng = random.Random(5)
-    for _ in range(150):
-        f = random_paf(rng)
-        assert convexity_criterion(f) == f.is_convex()
-
-
 def test_localization_member_examples():
     # a - b lies in the localization at x exactly when b is a local unit
     assert is_local_unit(PAF.identity(), F(1, 3))
@@ -319,11 +308,11 @@ def test_smooth_neighborhood_matches_a_kink_scan():
 
 
 def test_local_morphism_examples():
-    assert local_morphism_check(1, 0, F(1, 2), F(1, 2))
-    assert local_morphism_check(F(1, 2), 0, F(1, 4), F(1, 2))
-    assert not local_morphism_check(F(1, 2), 0, F(3, 8), F(1, 2))  # points mismatch
+    assert local_morphism(1, 0, F(1, 2), F(1, 2))
+    assert local_morphism(F(1, 2), 0, F(1, 4), F(1, 2))
+    assert not local_morphism(F(1, 2), 0, F(3, 8), F(1, 2))  # points mismatch
     with pytest.raises(PreconditionError):
-        local_morphism_check(3, 0, F(3, 4), F(1, 4))  # image leaves the domain
+        local_morphism(3, 0, F(3, 4), F(1, 4))  # image leaves the domain
 
 
 def _old_local_morphism_check(alpha, beta, x_src, x_dst, elements, lo, hi):
@@ -351,15 +340,11 @@ def test_local_morphism_check_matches_shifted_construction():
         if not all(lo <= alpha * t + beta <= hi for t in (lo, hi)):
             continue  # the pullback would leave the domain
         hat = PAF.affine(1, -x_src).oplus(PAF.affine(-1, x_src))
-        probes = [hat, hat.scale(-1)] + [random_paf(rng, max_cuts=4) for _ in range(3)]
-        default = [PAF.identity(), PAF.constant(1)] + ([hat] if lo < x_src < hi else [])
-        for elements, given in ((default, None), (probes, probes)):
-            assert local_morphism_check(alpha, beta, x_src, x_dst, given) == \
-                _old_local_morphism_check(alpha, beta, x_src, x_dst, elements, lo, hi)
-        assert local_morphism_check(alpha, beta, x_src + F(1, 7), x_dst) is False
+        probes = [PAF.identity(), PAF.constant(1)] + ([hat] if lo < x_src < hi else [])
+        assert local_morphism(alpha, beta, x_src, x_dst) == \
+            _old_local_morphism_check(alpha, beta, x_src, x_dst, probes, lo, hi)
+        assert local_morphism(alpha, beta, x_src + F(1, 7), x_dst) is False
         checked += 1
-    with pytest.raises(PreconditionError):  # a probe off the domain, as the subtraction raised
-        local_morphism_check(1, 0, F(1, 2), F(1, 2), [PAF.identity(0, 2)])
 
 
 # -- circle sections -------------------------------------------------------------
@@ -386,7 +371,7 @@ def test_circle_single_arc_must_be_flat():
 def test_circle_pm_kink_pair_is_invalid():
     s = CirclePAF.from_kinks(F(0), F(-1, 2), [(F(0), F(0)), (F(1, 2), F(1))])
     assert not circle_section_valid(s)
-    assert circle_kink_sum(s) == Quad(F(0))
+    assert kinks_telescope(s)
     kinks = dict((bp.a, k) for bp, k in s.kinks())
     assert kinks[F(1, 2)] == Quad(F(1)) and kinks[F(0)] == Quad(F(-1))
 
@@ -394,29 +379,12 @@ def test_circle_pm_kink_pair_is_invalid():
 def test_circle_eval_wraps():
     s = CirclePAF.from_kinks(F(0), F(-1, 2), [(F(1, 4), F(0)), (F(3, 4), F(1))])
     assert s.eval(F(1, 4)) == s.eval(F(5, 4))
-    assert circle_kink_sum(s) == Quad(F(0))
-
-
-def test_no_nonconstant_valid_sections():
-    rng = random.Random(9)
-    for _ in range(80):
-        spots = sorted(rng.sample(range(0, 10), rng.randint(1, 3)))
-        kinks = [(F(s, 10), F(rng.randint(0, 3))) for s in spots]
-        built = try_nonconstant_valid_section(kinks)
-        assert built is None or built.is_constant()
-    for _ in range(80):
-        cand = random_circle_section(rng)
-        if cand is not None and circle_section_valid(cand):
-            assert cand.is_constant()
-
-
-def test_global_section_property():
-    assert circle_global_sections_are_constant(random.Random(15), trials=100)
+    assert kinks_telescope(s)
 
 
 def test_circle_restrict_and_glue_roundtrip():
     s = CirclePAF.from_kinks(F(0), F(-1), [(F(0), F(0)), (F(1, 3), F(1)), (F(2, 3), F(1))])
-    assert circle_kink_sum(s) == Quad(F(0))
+    assert kinks_telescope(s)
     left = restrict_to_arc(s, F(0), F(3, 5))
     right = restrict_to_arc(s, F(1, 2), F(11, 10))  # wraps past 1
     glued = glue([left, right])
@@ -528,11 +496,10 @@ def test_irrational_breakpoints_stay_exact():
 
 def test_k_defined_check_examples():
     s0 = SQRT2 - 1
-    assert k_defined_check(s0, (F(2), F(3)), (F(2), F(3)))
-    assert k_defined_check(F(1, 2), (F(1), F(0)), (F(2), F(-1, 2)))
-    assert not k_defined_check(F(1, 2), (F(2), F(-1, 2)), (F(1), F(0)))  # kink -1
-    with pytest.raises(PreconditionError):
-        k_defined_check(s0, (F(1), F(0)), (F(2), F(0)))
+    assert _k_defined(s0, (F(2), F(3)), (F(2), F(3)))
+    assert _k_defined(Quad(F(1, 2)), (F(1), F(0)), (F(2), F(-1, 2)))
+    assert not _k_defined(Quad(F(1, 2)), (F(2), F(-1, 2)), (F(1), F(0)))  # kink -1
+    assert _k_defined(s0, (F(1), F(0)), (F(2), F(0))) is None  # the pieces do not meet
 
 
 def test_k_defined_rational_junction_forced_at_irrational_points():
