@@ -30,8 +30,8 @@ class ClosedSet(Value):
 
     intervals: tuple[Interval, ...]
 
-    def __post_init__(self):
-        ivs = sorted(as_pair(iv, "an interval") for iv in as_items(self.intervals, "intervals"))
+    def __post_init__(self, intervals):
+        ivs = sorted(as_pair(iv, "an interval") for iv in as_items(intervals, "intervals"))
         if any(a > b for a, b in ivs):
             raise PreconditionError("intervals must satisfy a <= b")
         merged: list[list[Fraction]] = []
@@ -40,7 +40,7 @@ class ClosedSet(Value):
                 merged[-1][1] = max(merged[-1][1], b)
             else:
                 merged.append([a, b])
-        object.__setattr__(self, "intervals", tuple((a, b) for a, b in merged))
+        return {"intervals": tuple((a, b) for a, b in merged)}
 
     @classmethod
     def of(cls, *intervals) -> "ClosedSet":
@@ -96,8 +96,9 @@ class RestrictionCongruence(Value):
 
     k: ClosedSet
 
-    def __post_init__(self):
-        check_model(self.k, ClosedSet)
+    def __post_init__(self, k):
+        check_model(k, ClosedSet)
+        return {"k": k}
 
     @property
     def is_trivial(self) -> bool:
@@ -275,8 +276,9 @@ class FractionRestriction(Value):
 
     base: RestrictionCongruence
 
-    def __post_init__(self):
-        check_model(self.base, RestrictionCongruence)
+    def __post_init__(self, base):
+        check_model(base, RestrictionCongruence)
+        return {"base": base}
 
     def related(self, x: tuple[PAF, PAF], y: tuple[PAF, PAF]) -> bool:
         (a, b), (a2, b2) = (as_pair(v, "a fraction pair", _as_paf, "PAFs") for v in (x, y))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PreconditionError
 from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
@@ -69,21 +70,18 @@ def _int_hull(ipts) -> list:
     return hull
 
 
-def _store_hull(hull, den: int, p: Polygon | None = None, vertices=None) -> Polygon:
-    """Give p (default: a new Polygon) the canonical integer vertex list
-    hull, CCW from the lexicographic minimum without collinear points, over
-    the denominator den; both are divided by their gcd, so that
-    (``_den``, ``_iverts``) is canonical.  Given ``vertices``, the same
+def _store_hull(hull, den: int, vertices=None) -> Polygon:
+    """A Polygon, made without ``__post_init__``, with the canonical integer
+    vertex list hull, CCW from the lexicographic minimum without collinear
+    points, over the denominator den; both are divided by their gcd, so
+    that (``_den``, ``_iverts``) is canonical.  Given ``vertices``, the same
     points as reduced ``Fraction`` pairs with den the lcm of their
     denominators, the pair is already reduced and they are cached as
     ``vertices``."""
     g = math.gcd(den, *(c for v in hull for c in v)) if den > 1 and vertices is None else 1
     if g > 1:
         den, hull = den // g, [(x // g, y // g) for x, y in hull]
-    if p is None:
-        p = object.__new__(Polygon)  # skips __post_init__
-    else:
-        del p.__dict__["vertices"]  # the raw input __init__ stored
+    p = object.__new__(Polygon)
     p.__dict__.update(_den=den, _iverts=tuple(hull))
     if vertices is not None:
         p.__dict__["vertices"] = vertices
@@ -108,21 +106,19 @@ class Polygon(Value):
 
     vertices: tuple[Point, ...]
 
-    def __post_init__(self):
-        pts = [as_pair(v, "a point") for v in as_items(self.vertices, "vertices")]
+    def __post_init__(self, vertices):
+        pts = [as_pair(v, "a point") for v in as_items(vertices, "vertices")]
         if not pts:
             raise PreconditionError("a polygon needs at least one vertex")
         den = math.lcm(*(c.denominator for v in pts for c in v))
-        _store_hull(_int_hull([(x.numerator * (den // x.denominator),
-                                y.numerator * (den // y.denominator)) for x, y in pts]), den, self)
+        return vars(_store_hull(_int_hull([(x.numerator * (den // x.denominator),
+                                            y.numerator * (den // y.denominator))
+                                           for x, y in pts]), den))
 
-    def __getattr__(self, name):
-        if name != "vertices":
-            raise AttributeError(name)
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
         den = self._den
-        verts = tuple((Fraction(x, den), Fraction(y, den)) for x, y in self._iverts)
-        object.__setattr__(self, "vertices", verts)
-        return verts
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self._iverts)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -286,13 +282,12 @@ class Direction(Value):
     p: Fraction
     q: Fraction
 
-    def __post_init__(self):
-        x, y, _ = _int_pair((self.p, self.q))
+    def __post_init__(self, p, q):
+        x, y, _ = _int_pair((p, q))
         if x == 0 and y == 0:
             raise PreconditionError("direction must be nonzero")
         g = math.gcd(x, y)
-        object.__setattr__(self, "p", Fraction(x // g))
-        object.__setattr__(self, "q", Fraction(y // g))
+        return {"p": Fraction(x // g), "q": Fraction(y // g)}
 
     def as_pair(self) -> Point:
         return (self.p, self.q)
@@ -388,7 +383,7 @@ def facets(e: Polygon) -> list[tuple[tuple[int, int], int]]:
             raise PreconditionError("unit body must contain the origin strictly inside")
         i = min(range(len(fs)), key=lambda k: [Fraction(m, fs[k][1]) for m in fs[k][0]])
         fs = fs[i:] + fs[:i]
-        object.__setattr__(e, "_facets", fs)
+        e.__dict__["_facets"] = fs
     return fs
 
 
@@ -466,11 +461,12 @@ class FracBody(Value):
     pos: Polygon
     neg: Polygon
 
-    def __post_init__(self):
-        for side in (self.pos, self.neg):
+    def __post_init__(self, pos, neg):
+        for side in (pos, neg):
             check_model(side, Polygon)
             if not side.contains_origin():
                 raise PreconditionError("fraction bodies must contain the origin")
+        return {"pos": pos, "neg": neg}
 
     @classmethod
     def of(cls, body: Polygon) -> "FracBody":
@@ -581,8 +577,8 @@ class PolygonFractionSemifield(CharOneSemifield):
         self._unit_body = unit_body if unit_body is not None else DEFAULT_UNIT
         facets(self._unit_body)  # also checks that the origin is strictly inside
         origin = Polygon.origin()
-        self._zero = _frac(origin, origin)
-        self._unit = _frac(self._unit_body, origin)
+        self.zero = _frac(origin, origin)
+        self.unit = _frac(self._unit_body, origin)
 
     def oplus(self, x, y):
         return frac_oplus(x, y)
@@ -595,14 +591,6 @@ class PolygonFractionSemifield(CharOneSemifield):
 
     def scale(self, q, x):
         return frac_scale(q, x)
-
-    @property
-    def zero(self):
-        return self._zero
-
-    @property
-    def unit(self):
-        return self._unit
 
     def eq(self, x, y):
         return frac_equal(x, y)

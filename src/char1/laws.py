@@ -354,7 +354,7 @@ def _k_defined(s0, left, right) -> bool | None:
 # x_dst an interior point, x_src = alpha*x_dst + beta; s: a constant circle
 # section, cand: a circle section, valid: a valid one; kinks: nonnegative
 # kinks at points of (0, 1); trials: random_kink_trial draws; s0: a point of
-# Q(sqrt 2) in (0, 1), a b a2: rationals
+# Q(sqrt 2) in (0, 1), a b a2: rationals with a < a2
 VALUATION_LAWS = {
     "valuation additivity": lambda x0, f, g, vf, vg: vl.valuation_at(x0, f + g) == vf + vg,
     "valuation superadditivity": lambda x0, f, g, vf, vg: (
@@ -382,8 +382,10 @@ VALUATION_LAWS = {
     "global-section property": lambda trials: all(
         _only_constants_valid(kinks) and _only_constants_valid(free, start, slope)
         for kinks, start, slope, free in trials),
-    "rational junctions cannot kink at irrational points": lambda s0, a, b: (
-        _k_defined(s0, (a, b), (a, b)) is True),
+    # rational pieces of unequal slopes whose values at s0 share their
+    # rational part: at an irrational s0 they cannot meet
+    "rational junctions cannot kink at irrational points": lambda s0, a, b, a2: (
+        s0.is_rational or _k_defined(s0, (a, b), (a2, b + s0.a * (a - a2))) is None),
     "discontinuous junction rejected": lambda s0, a, b, a2: (
         _k_defined(s0, (a, b), (a2, b)) is None),
 }
@@ -622,8 +624,9 @@ def run_valuation_suite(seed=0, cases=500) -> SuiteReport:
                 break
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         b = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        tally.law("rational junctions cannot kink at irrational points", s0, a, b)
-        tally.law("discontinuous junction rejected", s0, a, b, a + Fraction(rng.randint(1, 3)))
+        a2 = a + Fraction(rng.randint(1, 3))
+        tally.law("rational junctions cannot kink at irrational points", s0, a, b, a2)
+        tally.law("discontinuous junction rejected", s0, a, b, a2)
     return tally.report()
 
 

@@ -35,12 +35,11 @@ class PAF(Value):
     breakpoints: tuple[Fraction, ...]
     pieces: tuple[Piece, ...]
 
-    def __post_init__(self):
+    def __post_init__(self, breakpoints, pieces):
         """The one decoder of outside breakpoints and (slope, intercept) pairs:
-        checked in integers, equal neighbours merged, the raw fields dropped."""
-        raw = self.__dict__
-        ts = [as_rat(t) for t in as_items(raw.pop("breakpoints"), "breakpoints")]
-        pcs = [_triple(*as_pair(pc, "a piece")) for pc in as_items(raw.pop("pieces"), "pieces")]
+        checked in integers, equal neighbours merged, stored as the integer form."""
+        ts = [as_rat(t) for t in as_items(breakpoints, "breakpoints")]
+        pcs = [_triple(*as_pair(pc, "a piece")) for pc in as_items(pieces, "pieces")]
         if len(ts) < 2:
             raise PreconditionError("a PAF needs at least two breakpoints")
         if len(pcs) != len(ts) - 1:
@@ -53,7 +52,7 @@ class PAF(Value):
             if i and _gap(pcs[i - 1], pc, bps[i]):
                 raise PreconditionError(f"discontinuity at breakpoint {ts[i]}")
             _emit(merged_bps, merged_pcs, v, pc)
-        raw.update(_bps=tuple(merged_bps), _pcs=tuple(merged_pcs))
+        return {"_bps": tuple(merged_bps), "_pcs": tuple(merged_pcs)}
 
     def __getattr__(self, name):
         # only the two views reach here: the stored fields are plain attributes
@@ -430,28 +429,8 @@ class PAFSemifield(CharOneSemifield):
 
     def __init__(self, lo=0, hi=1):
         self._lo, self._hi = as_rat(lo), as_rat(hi)
-        self._zero = PAF.constant(0, self._lo, self._hi)
-        self._unit = PAF.constant(1, self._lo, self._hi)
-
-    def oplus(self, x, y):
-        return x.oplus(y)
-
-    def plus(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def scale(self, q, x):
-        return x.scale(q)
-
-    @property
-    def zero(self):
-        return self._zero
-
-    @property
-    def unit(self):
-        return self._unit
+        self.zero = PAF.constant(0, self._lo, self._hi)
+        self.unit = PAF.constant(1, self._lo, self._hi)
 
     def r_norm(self, x):
         return x.r_norm()

@@ -167,14 +167,15 @@ def fmt_rat(q) -> str:
 class Value:
     """The base of the immutable value classes.  A subclass declares its
     fields as class annotations, in order.  An instance takes one argument
-    per field, by position or keyword, stores each in its ``__dict__`` and
-    calls ``__post_init__``, which may check and replace them through
-    ``object.__setattr__``; afterwards assigning or deleting an attribute
-    raises ``AttributeError``.  The ``__dict__`` holds the fields in order
-    and nothing else, so two values of one class are equal when their
-    dicts are, and hash as the tuple of their fields; a class that keeps
-    more state there defines its own ``==`` and ``hash``.  The repr is
-    ``Class(field=value, ...)``."""
+    per field, by position or keyword, and hands them to
+    ``__post_init__(self, *fields)``, which checks them and returns the
+    instance's state as a dict (by default the fields as given); that dict
+    is written to the ``__dict__`` once, and afterwards assigning or
+    deleting an attribute raises ``AttributeError``.  When the state is the
+    fields in order and nothing else, two values of one class are equal
+    when their dicts are, and hash as the tuple of their fields; a class
+    that keeps other state defines its own ``==`` and ``hash``.  The repr
+    is ``Class(field=value, ...)``."""
 
     _fields = ()
 
@@ -188,11 +189,10 @@ class Value:
         if kwargs or len(args) != len(fields):
             raise TypeError(f"{self.__class__.__name__}() takes the arguments "
                             f"({', '.join(fields)}), by position or keyword")
-        self.__dict__.update(zip(fields, args))
-        self.__post_init__()
+        self.__dict__.update(self.__post_init__(*args))
 
-    def __post_init__(self):
-        pass
+    def __post_init__(self, *fields) -> dict:
+        return dict(zip(self._fields, fields))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -24,38 +24,35 @@ from .scalars import as_nat, as_rat
 class CharOneSemifield:
     """Operation table for one semifield instance.
 
-    Subclasses supply the primitive laws plus canonical-form equality and
-    (optionally) an exact ``r_norm``; everything else is derived.
-    Elements are immutable and every operation is a pure function, so
-    instances are safe for unrestricted concurrent use.
+    The primitive laws default to the element's own operations:
+    ``x.oplus(y)``, ``x + y``, ``-x`` and ``x.scale(q)``; a model whose
+    elements lack them overrides the hook.  Each model sets ``zero`` and the
+    absorbing unit E, with r_norm(E) = 1, as plain attributes, and supplies
+    canonical-form equality and (optionally) an exact ``r_norm``;
+    everything else is derived.  Elements are immutable and every operation
+    is a pure function, so instances are safe for unrestricted concurrent
+    use.
     """
 
     name = "abstract"
+    zero: object
+    unit: object
 
     # -- primitive hooks ---------------------------------------------------
 
     def oplus(self, x, y):
-        raise NotImplementedError
+        return x.oplus(y)
 
     def plus(self, x, y):
-        raise NotImplementedError
+        return x + y
 
     def neg(self, x):
-        raise NotImplementedError
+        return -x
 
     def scale(self, q, x):
         """Exact action of the rational q (the Frobenius for q > 0):
         multiplicative in q, additive over +."""
-        raise NotImplementedError
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def unit(self):
-        """The absorbing unit E, with r_norm(E) = 1."""
-        raise NotImplementedError
+        return x.scale(q)
 
     def eq(self, x, y) -> bool:
         return x == y
@@ -120,26 +117,14 @@ class ScalarTrop(CharOneSemifield):
     """
 
     name = "scalar"
+    zero = Fraction(0)
+    unit = Fraction(1)
 
     def oplus(self, x, y):
         return max(x, y)
 
-    def plus(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
     def scale(self, q, x):
         return as_rat(q) * as_rat(x)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def unit(self):
-        return Fraction(1)
 
     def r_norm(self, x):
         return abs(x)

@@ -33,8 +33,8 @@ class PointEval(Value):
 
     t: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_rat(self.t))
+    def __post_init__(self, t):
+        return {"t": as_rat(t)}
 
     def to_json(self) -> dict:
         return {"kind": "point", "t": fmt_rat(self.t)}

@@ -304,10 +304,10 @@ class CirclePAF(Value):
     breakpoints: tuple[Quad, ...]
     pieces: tuple[tuple[Quad, Quad], ...]
 
-    def __post_init__(self):
-        bps = [Quad._coerce(t) for t in as_items(self.breakpoints, "breakpoints")]
+    def __post_init__(self, breakpoints, pieces):
+        bps = [Quad._coerce(t) for t in as_items(breakpoints, "breakpoints")]
         pcs = [as_pair(pc, "a piece", Quad._coerce, _QUAD_KINDS)
-               for pc in as_items(self.pieces, "pieces")]
+               for pc in as_items(pieces, "pieces")]
         if not bps:
             raise PreconditionError("a circle section needs a breakpoint")
         if len(pcs) != len(bps):
@@ -334,8 +334,7 @@ class CirclePAF(Value):
             if pcs[0][0] != _Q0:
                 raise AssertionError("an affine circle function must be flat")
             bps, pcs = [_Q0], [(_Q0, pcs[0][1])]
-        object.__setattr__(self, "breakpoints", tuple(bps))
-        object.__setattr__(self, "pieces", tuple(pcs))
+        return {"breakpoints": tuple(bps), "pieces": tuple(pcs)}
 
     @classmethod
     def constant(cls, c) -> "CirclePAF":
@@ -415,9 +414,10 @@ class ArcSection(Value):
     breakpoints: tuple[Quad, ...]
     pieces: tuple[tuple[Quad, Quad], ...]
 
-    def __post_init__(self):
-        bps = tuple(Quad._coerce(t) for t in self.breakpoints)
-        pcs = tuple((Quad._coerce(a), Quad._coerce(b)) for a, b in self.pieces)
+    def __post_init__(self, breakpoints, pieces):
+        bps = tuple(Quad._coerce(t) for t in as_items(breakpoints, "breakpoints"))
+        pcs = tuple(as_pair(pc, "a piece", Quad._coerce, _QUAD_KINDS)
+                    for pc in as_items(pieces, "pieces"))
         if len(bps) < 2 or len(pcs) != len(bps) - 1:
             raise PreconditionError("arc data must span an interval")
         if any(not u < v for u, v in zip(bps, bps[1:])):
@@ -427,8 +427,7 @@ class ArcSection(Value):
         for i in range(1, len(pcs)):
             if _piece_value(pcs[i - 1], bps[i]) != _piece_value(pcs[i], bps[i]):
                 raise PreconditionError(f"discontinuity at {bps[i]}")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "pieces", pcs)
+        return {"breakpoints": bps, "pieces": pcs}
 
     @property
     def hi(self) -> Quad:

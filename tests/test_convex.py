@@ -497,7 +497,8 @@ def test_frac_walk_results_pass_the_decoder():
 def test_origin_and_zero_dilation_decode_nothing(monkeypatch):
     calls = []
     decode = Polygon.__post_init__
-    monkeypatch.setattr(Polygon, "__post_init__", lambda self: calls.append(1) or decode(self))
+    monkeypatch.setattr(Polygon, "__post_init__",
+                        lambda self, vertices: calls.append(1) or decode(self, vertices))
     origin = Polygon.origin()
     assert origin is Polygon.origin() and TRI.dilate(0) is origin
     assert (origin._den, origin._iverts) == (1, ((0, 0),))

@@ -26,9 +26,9 @@ from char1.paf import PAF, PAFSemifield, convex_split
 from char1.scalars import as_nat, as_pair, as_rat, fmt_rat
 from char1.semifield import SCALAR
 from char1.spectrum import PointEval, attain_norm, classify, prescribe, separate
-from char1.valuation import (CirclePAF, Quad, circle_section_valid, convexity_criterion, germ,
-                             glue, is_local_unit, kink, restrict_to_arc, smooth_neighborhood,
-                             valuation_at)
+from char1.valuation import (ArcSection, CirclePAF, Quad, circle_section_valid,
+                             convexity_criterion, germ, glue, is_local_unit, kink, restrict_to_arc,
+                             smooth_neighborhood, valuation_at)
 
 f = PAF.identity()
 SQ = Polygon.square()
@@ -103,6 +103,8 @@ PROBES = {
     "CirclePAF-breakpoints-int": lambda: CirclePAF(5, ((0, 1),)),
     "CirclePAF.from_kinks-single": lambda: CirclePAF.from_kinks(0, 0, [(0,)]),
     "CirclePAF.from_kinks-int": lambda: CirclePAF.from_kinks(0, 0, 5),
+    "ArcSection-int": lambda: ArcSection(5, 5),
+    "ArcSection-piece-single": lambda: ArcSection((0, F(1, 2)), (1,)),
     "ClosedSet.of": lambda: ClosedSet.of(("x", 1)),
     "ClosedSet.contains": lambda: ClosedSet.point(0).contains("x"),
     "PointEval": lambda: PointEval("x"),

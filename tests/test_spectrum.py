@@ -173,7 +173,8 @@ def test_separating_directions_decodes_no_polygon(monkeypatch):
     """The four axis probes are built once, so ``separate`` constructs no body."""
     calls = []
     decode = Polygon.__post_init__
-    monkeypatch.setattr(Polygon, "__post_init__", lambda self: calls.append(1) or decode(self))
+    monkeypatch.setattr(Polygon, "__post_init__",
+                        lambda self, vertices: calls.append(1) or decode(self, vertices))
     rng = random.Random(31)
     found = set()
     for _ in range(100):

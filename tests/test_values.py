@@ -1,8 +1,11 @@
 """The value classes on ``scalars.Value``: each prints as it did when it was
 a dataclass, is immutable, equals and hashes by its fields within its own
-class only, and takes its fields by position or keyword."""
+class only, and takes its fields by position or keyword; and each class
+writes its state once."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +79,47 @@ def test_value_class_contract(cls, fields, text):
         cls(*args, **{name: args[0]})
     with pytest.raises(TypeError):
         cls(*args[:-1], no_such_field=args[-1])
+
+
+# where an instance may be made without its ``__post_init__``: the emit paths
+STORES = {("paf", "_store"), ("convex", "_store_hull"), ("convex", "_frac"),
+          ("valuation", "_quad")}
+
+
+def _object_calls(tree, name):
+    """The function around each call of ``object.<name>`` in a module tree."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == name and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "object"):
+                    yield fn.name
+
+
+def test_each_value_writes_its_state_once():
+    """No code sets an attribute behind ``Value.__setattr__``, only the emit
+    paths skip ``__post_init__``, and each class's own ``__post_init__``
+    takes exactly its fields and returns the state that ``Value.__init__``
+    writes."""
+    src = Path(__file__).resolve().parents[1] / "src" / "char1"
+    posts = 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert list(_object_calls(tree, "__setattr__")) == [], path.name
+        for fn in _object_calls(tree, "__new__"):
+            assert (path.stem, fn) in STORES, f"{path.name}: {fn}"
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(isinstance(b, ast.Name) and b.id == "Value" for b in cls.bases)):
+                continue
+            fields = [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    posts += 1
+                    assert [a.arg for a in fn.args.args] == ["self", *fields], cls.name
+                    assert not any(isinstance(n, ast.Attribute) and n.attr == "__dict__"
+                                   or isinstance(n, ast.Delete)
+                                   and any(isinstance(t, ast.Attribute) for t in n.targets)
+                                   for n in ast.walk(fn)), cls.name
+    assert posts == 10
