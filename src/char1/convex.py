@@ -472,10 +472,22 @@ class FracBody(Value):
     def of(cls, body: Polygon) -> "FracBody":
         return cls(body, Polygon.origin())
 
+    def __add__(self, other: "FracBody") -> "FracBody":
+        check_model(other, FracBody)
+        return _frac(minkowski(self.pos, other.pos), minkowski(self.neg, other.neg))
+
+    def __neg__(self) -> "FracBody":
+        return _frac(self.neg, self.pos)
+
+    def scale(self, q) -> "FracBody":
+        q = as_rat(q)
+        a, b = (self.pos, self.neg) if q >= 0 else (self.neg, self.pos)
+        return _frac(a.dilate(abs(q)), b.dilate(abs(q)))
+
 
 def _frac(pos: Polygon, neg: Polygon) -> FracBody:
     """A FracBody made without ``__post_init__``: the path by which the
-    ``frac_*`` walks and the semifield adapter emit one, as ``paf._store``
+    fraction operations and the semifield table emit one, as ``paf._store``
     is for PAFs.  ``FracBody(pos, neg)`` stays the decoder of outside data.
     The sides hold the origin by construction: Minkowski sums, hulls of
     unions and dilations by q >= 0 of origin-containing bodies contain it."""
@@ -499,23 +511,7 @@ def frac_oplus(x: FracBody, y: FracBody) -> FracBody:
                  minkowski(x.neg, y.neg))
 
 
-def frac_plus(x: FracBody, y: FracBody) -> FracBody:
-    check_model(x, FracBody)
-    check_model(y, FracBody)
-    return _frac(minkowski(x.pos, y.pos), minkowski(x.neg, y.neg))
-
-
-def frac_neg(x: FracBody) -> FracBody:
-    check_model(x, FracBody)
-    return _frac(x.neg, x.pos)
-
-
-def frac_scale(q, x: FracBody) -> FracBody:
-    q = as_rat(q)
-    check_model(x, FracBody)
-    if q < 0:
-        return frac_scale(-q, frac_neg(x))
-    return _frac(x.pos.dilate(q), x.neg.dilate(q))
+FracBody.oplus = frac_oplus
 
 
 def norm_ray(x: FracBody, e: Polygon) -> tuple[tuple[int, int], Fraction]:
@@ -574,29 +570,16 @@ class PolygonFractionSemifield(CharOneSemifield):
     name = "convex-fraction"
 
     def __init__(self, unit_body: Polygon | None = None):
-        self._unit_body = unit_body if unit_body is not None else DEFAULT_UNIT
-        facets(self._unit_body)  # also checks that the origin is strictly inside
-        origin = Polygon.origin()
-        self.zero = _frac(origin, origin)
-        self.unit = _frac(self._unit_body, origin)
-
-    def oplus(self, x, y):
-        return frac_oplus(x, y)
-
-    def plus(self, x, y):
-        return frac_plus(x, y)
-
-    def neg(self, x):
-        return frac_neg(x)
-
-    def scale(self, q, x):
-        return frac_scale(q, x)
+        unit_body = unit_body if unit_body is not None else DEFAULT_UNIT
+        facets(unit_body)  # also checks that the origin is strictly inside
+        self.zero = _frac(_ORIGIN, _ORIGIN)
+        self.unit = _frac(unit_body, _ORIGIN)
 
     def eq(self, x, y):
         return frac_equal(x, y)
 
     def r_norm(self, x):
-        return r_norm_frac(x, self._unit_body)
+        return r_norm_frac(x, self.unit.pos)
 
     def random(self, rng):
         # triangles and degenerate bodies keep the law suites inside their
@@ -616,8 +599,8 @@ def random_polygon(rng, max_extra=3, lim=4) -> Polygon:
     return _from_int_hull(pts, 1)
 
 
-def random_direction(rng, lim=5) -> Direction:
+def random_direction(rng) -> Direction:
     while True:
-        p, q = rng.randint(-lim, lim), rng.randint(-lim, lim)
+        p, q = rng.randint(-5, 5), rng.randint(-5, 5)
         if p or q:
             return Direction(Fraction(p), Fraction(q))

@@ -231,6 +231,7 @@ class PAF(Value):
         return _store(self._bps, [(-n, -m, d) for n, m, d in self._pcs])
 
     def __sub__(self, other: "PAF") -> "PAF":
+        check_model(other, PAF)
         return self + (-other)
 
     def scale(self, q) -> "PAF":
@@ -428,21 +429,21 @@ class PAFSemifield(CharOneSemifield):
     name = "paf"
 
     def __init__(self, lo=0, hi=1):
-        self._lo, self._hi = as_rat(lo), as_rat(hi)
-        self.zero = PAF.constant(0, self._lo, self._hi)
-        self.unit = PAF.constant(1, self._lo, self._hi)
+        self.zero = PAF.constant(0, lo, hi)
+        self.unit = PAF.constant(1, lo, hi)
 
     def r_norm(self, x):
+        check_model(x, PAF)
         return x.r_norm()
 
-    def random(self, rng, max_cuts=3):
-        return random_paf(rng, self._lo, self._hi, max_cuts=max_cuts)
+    def random(self, rng):
+        return random_paf(rng, self.zero.lo, self.zero.hi)
 
 
-def random_paf(rng, lo=0, hi=1, max_cuts=3, value_lim=8, den=6) -> PAF:
+def random_paf(rng, lo=0, hi=1, max_cuts=3, value_lim=8) -> PAF:
     """A random PAF from a small rational grid; exactness-friendly sizes."""
     lo, hi = as_rat(lo), as_rat(hi)
-    grid_den = rng.randint(2, den)
+    grid_den = rng.randint(2, 6)
     k = rng.randint(0, min(max_cuts, 2 * grid_den - 1))
     cuts = sorted(rng.sample(range(1, 2 * grid_den), k))
     ts = [lo] + [lo + (hi - lo) * Fraction(c, 2 * grid_den) for c in cuts] + [hi]

@@ -18,20 +18,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .scalars import as_nat, as_rat
+from .scalars import as_nat, as_rat, check_model
 
 
 class CharOneSemifield:
     """Operation table for one semifield instance.
 
-    The primitive laws default to the element's own operations:
-    ``x.oplus(y)``, ``x + y``, ``-x`` and ``x.scale(q)``; a model whose
-    elements lack them overrides the hook.  Each model sets ``zero`` and the
-    absorbing unit E, with r_norm(E) = 1, as plain attributes, and supplies
-    canonical-form equality and (optionally) an exact ``r_norm``;
-    everything else is derived.  Elements are immutable and every operation
-    is a pure function, so instances are safe for unrestricted concurrent
-    use.
+    The primitive laws check that x is of the class of ``zero``, then call
+    the element's own ``x.oplus(y)``, ``x + y``, ``-x`` or ``x.scale(q)``,
+    which checks the other operand; a model whose elements lack them
+    overrides the hook.  Each model sets ``zero`` and the absorbing unit E,
+    with r_norm(E) = 1, as plain attributes, and supplies canonical-form
+    equality and (optionally) an exact ``r_norm``; everything else is
+    derived.  Elements are immutable and every operation is a pure
+    function, so instances are safe for unrestricted concurrent use.
     """
 
     name = "abstract"
@@ -41,17 +41,21 @@ class CharOneSemifield:
     # -- primitive hooks ---------------------------------------------------
 
     def oplus(self, x, y):
+        check_model(x, self.zero.__class__)
         return x.oplus(y)
 
     def plus(self, x, y):
+        check_model(x, self.zero.__class__)
         return x + y
 
     def neg(self, x):
+        check_model(x, self.zero.__class__)
         return -x
 
     def scale(self, q, x):
         """Exact action of the rational q (the Frobenius for q > 0):
         multiplicative in q, additive over +."""
+        check_model(x, self.zero.__class__)
         return x.scale(q)
 
     def eq(self, x, y) -> bool:
@@ -113,7 +117,8 @@ class CharOneSemifield:
 class ScalarTrop(CharOneSemifield):
     """The rational scalars under (max, +) with unit E = 1.
 
-    The simplest lawful model; its norm is plain absolute value.
+    The simplest lawful model; its norm is plain absolute value.  Its
+    elements are ``Fraction``s, read by ``as_rat``, so it has its own hooks.
     """
 
     name = "scalar"
@@ -121,13 +126,19 @@ class ScalarTrop(CharOneSemifield):
     unit = Fraction(1)
 
     def oplus(self, x, y):
-        return max(x, y)
+        return max(as_rat(x), as_rat(y))
+
+    def plus(self, x, y):
+        return as_rat(x) + as_rat(y)
+
+    def neg(self, x):
+        return -as_rat(x)
 
     def scale(self, q, x):
         return as_rat(q) * as_rat(x)
 
     def r_norm(self, x):
-        return abs(x)
+        return abs(as_rat(x))
 
     def random(self, rng):
         return Fraction(rng.randint(-24, 24), rng.randint(1, 8))

@@ -195,14 +195,10 @@ def kink(f: PAF, x) -> Fraction:
     if not f.lo < x < f.hi:
         raise PreconditionError("kinks are defined at interior points")
     i = f._cell_index(x)
-    return Fraction(*_jump(f, i)) if f._bps[i] == (x.numerator, x.denominator) else Fraction(0)
-
-
-def _jump(f: PAF, i: int) -> tuple[int, int]:
-    """The slope jump at the interior breakpoint of index i, as integers
-    (num, den), den > 0, read from the stored piece triples."""
+    if f._bps[i] != (x.numerator, x.denominator):
+        return Fraction(0)
     (n0, _, d0), (n1, _, d1) = f._pcs[i - 1], f._pcs[i]
-    return n1 * d0 - n0 * d1, d0 * d1
+    return Fraction(n1 * d0 - n0 * d1, d0 * d1)
 
 
 def _shifted_valuation(f: PAF, x: Fraction) -> Fraction:
@@ -232,9 +228,9 @@ def convexity_criterion(f: PAF) -> bool:
     """Membership test for the convex sub-semiring via valuations: f is
     convex iff the extended valuation of f - f(x)*E is nonnegative at
     every interior breakpoint x.  Subtracting a constant changes no slope,
-    so that valuation is the kink of f at x, read by index."""
+    so that valuation is the kink of f at x: this is ``PAF.is_convex``."""
     check_model(f, PAF)
-    return all(_jump(f, i)[0] >= 0 for i in range(1, len(f._pcs)))
+    return f.is_convex()
 
 
 def is_local_unit(f: PAF, x) -> bool:

@@ -20,7 +20,6 @@ from char1.convex import (
     Polygon,
     frac_equal,
     frac_oplus,
-    frac_plus,
     minkowski,
     random_polygon,
 )
@@ -375,7 +374,7 @@ def test_fraction_operations_through_minkowski():
         union = Polygon.hull(ref_minkowski(x.pos, y.neg).vertices
                              + ref_minkowski(y.pos, x.neg).vertices)
         assert (out.pos, out.neg) == (union, ref_minkowski(x.neg, y.neg))
-        total = frac_plus(x, y)
+        total = x + y
         assert (total.pos, total.neg) == (ref_minkowski(x.pos, y.pos),
                                           ref_minkowski(x.neg, y.neg))
         assert frac_equal(x, y) == (ref_minkowski(x.pos, y.neg) == ref_minkowski(y.pos, x.neg))

@@ -478,7 +478,7 @@ def test_random_polygon_matches_the_fraction_construction():
 
 
 def test_frac_walk_results_pass_the_decoder():
-    """The frac_* walks emit through ``_frac`` without ``FracBody``'s checks;
+    """The fraction operations emit through ``_frac`` without ``FracBody``'s checks;
     each result is one that the decoder accepts, as the same value."""
     rng = random.Random(71)
     shapes = [Polygon.origin(), SEG_X, SEG_Y, Polygon.hull([(0, 0), (-3, 2)]), TRI, E]
@@ -488,8 +488,7 @@ def test_frac_walk_results_pass_the_decoder():
                          random_polygon(rng, max_extra=rng.randint(0, 3)))
                 for _ in "xy")
         q = rng.choice([0, F(rng.randint(-9, 9), rng.randint(1, 5))])
-        for r in (frac_oplus(x, y), cx.frac_plus(x, y), cx.frac_neg(x), cx.frac_scale(q, x),
-                  cx.frac_scale(-abs(q) - 1, y), ops.zero, ops.unit):
+        for r in (x.oplus(y), x + y, -x, x.scale(q), y.scale(-abs(q) - 1), ops.zero, ops.unit):
             assert r.__class__ is FracBody
             assert FracBody(r.pos, r.neg) == r
 

@@ -259,15 +259,15 @@ def test_convexity_criterion_on_large_pafs():
         slopes = sorted({F(rng.randint(-10**4, 10**4), 1000) for _ in range(n + 20)})[:n]
         convex = _big_paf(rng, slopes)
         assert len(convex.breakpoints) == n + 1
-        assert convexity_criterion(convex) and convex.is_convex()
+        assert convexity_criterion(convex)
         for i in (0, n // 2, n - 2):
             bent = slopes[:i] + [slopes[i + 1], slopes[i]] + slopes[i + 2:]
             f = _big_paf(rng, bent)
-            assert not convexity_criterion(f) and not f.is_convex()
+            assert not convexity_criterion(f)
         shuffled = slopes[:]
         rng.shuffle(shuffled)
         f = _big_paf(rng, shuffled)
-        assert convexity_criterion(f) == f.is_convex()
+        assert convexity_criterion(f) == (shuffled == slopes)  # the slopes are distinct
 
 
 def test_default_unit_is_one_shared_square():

@@ -17,9 +17,8 @@ from char1.congruence import (ClosedSet, FractionRestriction, RestrictionCongrue
                               class_of_zero_contains, cutoff, join, meet, min_representative,
                               order_witness, quotient_norm, related, zariski_laws)
 from char1.convex import (Direction, FracBody, Polygon, PolygonFractionSemifield, char_eval,
-                          frac_equal, frac_neg, frac_oplus, frac_plus, frac_scale, hull_union,
-                          i_invariant, i_symmetrize, minkowski, polar, r_norm_body,
-                          r_norm_euclidean, r_norm_frac)
+                          frac_equal, frac_oplus, hull_union, i_invariant, i_symmetrize,
+                          minkowski, polar, r_norm_body, r_norm_euclidean, r_norm_frac)
 from char1.errors import Char1Error, PreconditionError
 from char1.laws import run_suite
 from char1.paf import PAF, PAFSemifield, convex_split
@@ -114,6 +113,16 @@ PROBES = {
     "PAF.oplus-int": lambda: f.oplus(3),
     "PAF.add-int": lambda: f + 3,
     "PAF.sub-int": lambda: f - 3,
+    "PAF.sub-str": lambda: f - "x",
+    "PAF.sub-none": lambda: f - None,
+    "PAF.sub-list": lambda: f - [],
+    "PAFSemifield.oplus-int": lambda: PAFSemifield().oplus(3, f),
+    "PAFSemifield.neg-int": lambda: PAFSemifield().neg(3),
+    "PAFSemifield.neg-str": lambda: PAFSemifield().neg("x"),
+    "PAFSemifield.r_norm-int": lambda: PAFSemifield().r_norm(3),
+    "SCALAR.oplus-str": lambda: SCALAR.oplus(F(1), "x"),
+    "SCALAR.plus-str": lambda: SCALAR.plus(F(1), "x"),
+    "SCALAR.r_norm-str": lambda: SCALAR.r_norm("x"),
     "PAF.tropical_min-int": lambda: f.tropical_min(3),
     "quotient_norm-int": lambda: quotient_norm(f, K, 3),
     "hull_union-int": lambda: hull_union(SQ, 3),
@@ -123,9 +132,9 @@ PROBES = {
     "attain_norm-unit-int": lambda: attain_norm(FracBody.of(SQ), 3),
     "frac_oplus-int": lambda: frac_oplus(FracBody.of(SQ), 3),
     "frac_equal-int": lambda: frac_equal(FracBody.of(SQ), 3),
-    "frac_plus-int": lambda: frac_plus(FracBody.of(SQ), 3),
-    "frac_scale-int": lambda: frac_scale(1, 3),
-    "frac_neg-int": lambda: frac_neg(3),
+    "FracBody.add-int": lambda: FracBody.of(SQ) + 3,
+    "PolygonFractionSemifield.scale-int": lambda: PolygonFractionSemifield().scale(1, 3),
+    "PolygonFractionSemifield.neg-int": lambda: PolygonFractionSemifield().neg(3),
     "FracBody-int": lambda: FracBody(3, SQ),
     "char_eval-int": lambda: char_eval(Direction(1, 0), 3, SQ),
     "r_norm_body-int": lambda: r_norm_body(3, SQ),
@@ -257,7 +266,7 @@ SCALAR_ENTRIES = {
     "cutoff": lambda x: cutoff(f, K, x),
     "Polygon.square": Polygon.square,
     "Polygon.dilate": SQ.dilate,
-    "frac_scale": lambda x: frac_scale(x, FracBody.of(SQ)),
+    "FracBody.scale": FracBody.of(SQ).scale,
     "PolygonFractionSemifield.scale":
         lambda x: PolygonFractionSemifield().scale(x, FracBody.of(SQ)),
     "Direction": lambda x: Direction(x, 1),

@@ -28,6 +28,11 @@ def test_tropical_min_examples():
     assert F(2) + F(3) == SCALAR.oplus(F(2), F(3)) + SCALAR.tropical_min(F(2), F(3))
 
 
+def test_scalar_elements_are_read_as_rationals():
+    assert SCALAR.plus(1, F(2)) == 3 and SCALAR.oplus(1, F(1, 2)) == 1
+    assert SCALAR.neg(1) == -1 and SCALAR.r_norm(-2) == 2
+
+
 def test_frobenius_scale_examples():
     assert SCALAR.scale(F(3, 2), F(4)) == F(6)
     assert SCALAR.scale(1, F(-7, 3)) == F(-7, 3)
