@@ -46,14 +46,6 @@ class ClosedSet(Value):
     def of(cls, *intervals) -> "ClosedSet":
         return cls(intervals)
 
-    @classmethod
-    def point(cls, t) -> "ClosedSet":
-        return cls.of((t, t))
-
-    @classmethod
-    def empty(cls) -> "ClosedSet":
-        return cls(())
-
     @property
     def is_empty(self) -> bool:
         return not self.intervals

@@ -111,9 +111,8 @@ class Polygon(Value):
         if not pts:
             raise PreconditionError("a polygon needs at least one vertex")
         den = math.lcm(*(c.denominator for v in pts for c in v))
-        return vars(_store_hull(_int_hull([(x.numerator * (den // x.denominator),
-                                            y.numerator * (den // y.denominator))
-                                           for x, y in pts]), den))
+        return vars(_from_int_hull([(x.numerator * (den // x.denominator),
+                                     y.numerator * (den // y.denominator)) for x, y in pts], den))
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -127,10 +126,6 @@ class Polygon(Value):
 
     def __hash__(self):
         return hash((self._den, self._iverts))
-
-    @classmethod
-    def hull(cls, points) -> "Polygon":
-        return cls(points)
 
     @classmethod
     def origin(cls) -> "Polygon":
@@ -436,20 +431,18 @@ def r_norm_euclidean(a: Polygon) -> float:
 def char_eval(psi, x, e: Polygon) -> Fraction:
     """The normalized support-direction character: l_X(psi) / l_E(psi).
 
-    Fraction pairs evaluate to (l_A - l_B) / l_E.  The denominator is
-    positive because the origin is strictly interior to E.
+    Fraction pairs evaluate to (l_A - l_B) / l_E, and a body X is read as
+    the pair X - {0}.  The denominator is positive because the origin is
+    strictly interior to E.
     """
     check_model(x, Polygon, FracBody)
     facets(e)
     p, q, _ = _int_pair(psi.as_pair() if isinstance(psi, Direction) else psi)
     if p == 0 and q == 0:
         raise PreconditionError("direction must be nonzero")
-    denom = e._isupport(p, q)
-    if isinstance(x, FracBody):
-        a, b = x.pos, x.neg
-        return Fraction((a._isupport(p, q) * b._den - b._isupport(p, q) * a._den) * e._den,
-                        a._den * b._den * denom)
-    return Fraction(x._isupport(p, q) * e._den, x._den * denom)
+    a, b = (x.pos, x.neg) if x.__class__ is FracBody else (x, _ORIGIN)
+    return Fraction((a._isupport(p, q) * b._den - b._isupport(p, q) * a._den) * e._den,
+                    a._den * b._den * e._isupport(p, q))
 
 
 # -- the fraction semifield ----------------------------------------------------

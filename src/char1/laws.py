@@ -108,7 +108,7 @@ def random_closed_set(rng, lo=0, hi=1, max_parts=3) -> cg.ClosedSet:
         if rng.random() < 0.25:
             b = a  # squeeze to a point now and then
         ivs.append((a, b))
-    return cg.ClosedSet.of(*ivs) if ivs else cg.ClosedSet.point(lo)
+    return cg.ClosedSet.of(*(ivs or [(lo, lo)]))
 
 
 def random_interior_point(rng) -> Fraction:
@@ -503,7 +503,7 @@ def run_character_suite(seed=0, cases=1000) -> SuiteReport:
         tally.law("no character exceeds the norm", f)
         a = cx.random_polygon(rng)
         if a.dim == 0:
-            a = cx.Polygon.hull([(0, 0), (1, rng.randint(0, 2))])
+            a = cx.Polygon([(0, 0), (1, rng.randint(0, 2))])
         tally.law("convex norm attainment", a, unit)
 
     for _ in range(200):

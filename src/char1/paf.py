@@ -365,7 +365,8 @@ def _piece(p) -> Piece:
 
 
 def _triple(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    """The piece t -> a*t + b as (n, m, d) over d = lcm(a.den, b.den): reduced already."""
+    """(a*d, b*d, d) with d = lcm(a.den, b.den), reduced already: the piece
+    t -> a*t + b here, and the Quad a + b*sqrt 2 in ``valuation``."""
     da, db = a.denominator, b.denominator
     d = da // gcd(da, db) * db
     return a.numerator * (d // da), b.numerator * (d // db), d

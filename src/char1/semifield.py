@@ -26,11 +26,11 @@ class CharOneSemifield:
 
     The primitive laws check that x is of the class of ``zero``, then call
     the element's own ``x.oplus(y)``, ``x + y``, ``-x`` or ``x.scale(q)``,
-    which checks the other operand; a model whose elements lack them
-    overrides the hook.  Each model sets ``zero`` and the absorbing unit E,
-    with r_norm(E) = 1, as plain attributes, and supplies canonical-form
-    equality and (optionally) an exact ``r_norm``; everything else is
-    derived.  Elements are immutable and every operation is a pure
+    which checks the other operand; ``eq`` checks both, then compares the
+    canonical forms.  A model whose elements lack these overrides the hook.
+    Each model sets ``zero`` and the absorbing unit E, with r_norm(E) = 1,
+    as plain attributes, and may supply an exact ``r_norm``; everything
+    else is derived.  Elements are immutable and every operation is a pure
     function, so instances are safe for unrestricted concurrent use.
     """
 
@@ -59,6 +59,8 @@ class CharOneSemifield:
         return x.scale(q)
 
     def eq(self, x, y) -> bool:
+        check_model(x, self.zero.__class__)
+        check_model(y, self.zero.__class__)
         return x == y
 
     def r_norm(self, x) -> Fraction:
@@ -136,6 +138,9 @@ class ScalarTrop(CharOneSemifield):
 
     def scale(self, q, x):
         return as_rat(q) * as_rat(x)
+
+    def eq(self, x, y):
+        return super().eq(as_rat(x), as_rat(y))
 
     def r_norm(self, x):
         return abs(as_rat(x))

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import PreconditionError, SchemaError
-from .paf import PAF
+from .paf import PAF, _triple
 from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
                       parse_object, parse_pieces, parse_rat)
 
@@ -69,10 +69,7 @@ class Quad:
     __slots__ = ("p", "q", "d")
 
     def __init__(self, a, b=0):
-        a, b = as_rat(a), as_rat(b)
-        da, db = a.denominator, b.denominator
-        d = da * db // math.gcd(da, db)  # for reduced a and b, gcd(p, q, d) = 1
-        self.p, self.q, self.d = a.numerator * (d // da), b.numerator * (d // db), d
+        self.p, self.q, self.d = _triple(as_rat(a), as_rat(b))
 
     @property
     def a(self) -> Fraction:
@@ -288,6 +285,23 @@ def _lookup(bps, pcs, t: Quad) -> tuple[Quad, tuple[Quad, Quad]]:
     return lifted, _shift_piece(pcs[i], -k)
 
 
+def _read_section(breakpoints, pieces) -> tuple[list, list]:
+    """Circle or arc data as Quads: the breakpoints and (slope, intercept) pieces."""
+    return ([Quad._coerce(t) for t in as_items(breakpoints, "breakpoints")],
+            [as_pair(pc, "a piece", Quad._coerce, _QUAD_KINDS)
+             for pc in as_items(pieces, "pieces")])
+
+
+def _check_junctions(bps, pcs) -> None:
+    """Check that the breakpoints strictly increase and that each piece meets
+    the next one at the breakpoint between them."""
+    if any(not u < v for u, v in zip(bps, bps[1:])):
+        raise PreconditionError("breakpoints must be strictly increasing")
+    for i in range(1, len(pcs)):
+        if _piece_value(pcs[i - 1], bps[i]) != _piece_value(pcs[i], bps[i]):
+            raise PreconditionError(f"discontinuity at {bps[i]}")
+
+
 class CirclePAF(Value):
     """A continuous piecewise-affine function on R/Z.
 
@@ -301,36 +315,23 @@ class CirclePAF(Value):
     pieces: tuple[tuple[Quad, Quad], ...]
 
     def __post_init__(self, breakpoints, pieces):
-        bps = [Quad._coerce(t) for t in as_items(breakpoints, "breakpoints")]
-        pcs = [as_pair(pc, "a piece", Quad._coerce, _QUAD_KINDS)
-               for pc in as_items(pieces, "pieces")]
+        bps, pcs = _read_section(breakpoints, pieces)
         if not bps:
             raise PreconditionError("a circle section needs a breakpoint")
         if len(pcs) != len(bps):
             raise PreconditionError("need exactly one arc per breakpoint")
         if not (_Q0 <= bps[0] and bps[-1] < _Q1):
             raise PreconditionError("breakpoints must lie in [0, 1)")
-        if any(not u < v for u, v in zip(bps, bps[1:])):
-            raise PreconditionError("breakpoints must be strictly increasing")
-        for i in range(1, len(bps)):
-            if _piece_value(pcs[i - 1], bps[i]) != _piece_value(pcs[i], bps[i]):
-                raise PreconditionError(f"discontinuity at {bps[i]}")
+        _check_junctions(bps, pcs)
         if _piece_value(pcs[-1], bps[0] + 1) != _piece_value(pcs[0], bps[0]):
             raise PreconditionError("discontinuity across the wrap")
-        # canonical form: merge kink-free junctions, the wrap one included
-        i = 1
-        while i < len(pcs):
-            if pcs[i] == pcs[i - 1]:
-                del bps[i], pcs[i]
-            else:
-                i += 1
-        while len(pcs) > 1 and pcs[0] == _shift_piece(pcs[-1], 1):
-            del bps[0], pcs[0]
-        if len(pcs) == 1:
-            if pcs[0][0] != _Q0:
-                raise AssertionError("an affine circle function must be flat")
-            bps, pcs = [_Q0], [(_Q0, pcs[0][1])]
-        return {"breakpoints": tuple(bps), "pieces": tuple(pcs)}
+        # canonical form: keep each junction where the piece changes, the wrap
+        # included; if none changes, continuity across the wrap forced slope 0
+        keep = [i for i, pc in enumerate(pcs)
+                if pc != (pcs[i - 1] if i else _shift_piece(pcs[-1], 1))]
+        if not keep:
+            return {"breakpoints": (_Q0,), "pieces": (pcs[0],)}
+        return {"breakpoints": tuple(bps[i] for i in keep), "pieces": tuple(pcs[i] for i in keep)}
 
     @classmethod
     def constant(cls, c) -> "CirclePAF":
@@ -348,16 +349,14 @@ class CirclePAF(Value):
                       for tk in as_items(kinks, "kinks")), key=lambda p: p[0])
         if not pts:
             return cls.constant(start_value)
-        bps = [t for t, _ in pts]
-        slope = Quad._coerce(first_slope)
-        value = Quad._coerce(start_value)
+        slope, value = Quad._coerce(first_slope), Quad._coerce(start_value)
         pieces = []
         for i, (t, k) in enumerate(pts):
             if i > 0:
                 slope = slope + k
                 value = _piece_value(pieces[-1], t)
             pieces.append((slope, value - slope * t))
-        return cls(tuple(bps), tuple(pieces))
+        return cls(tuple(t for t, _ in pts), tuple(pieces))
 
     def piece_at(self, t) -> tuple[Quad, Quad]:
         """The governing (slope, intercept) at t, in t's own coordinates:
@@ -411,19 +410,13 @@ class ArcSection(Value):
     pieces: tuple[tuple[Quad, Quad], ...]
 
     def __post_init__(self, breakpoints, pieces):
-        bps = tuple(Quad._coerce(t) for t in as_items(breakpoints, "breakpoints"))
-        pcs = tuple(as_pair(pc, "a piece", Quad._coerce, _QUAD_KINDS)
-                    for pc in as_items(pieces, "pieces"))
+        bps, pcs = _read_section(breakpoints, pieces)
         if len(bps) < 2 or len(pcs) != len(bps) - 1:
             raise PreconditionError("arc data must span an interval")
-        if any(not u < v for u, v in zip(bps, bps[1:])):
-            raise PreconditionError("arc breakpoints must increase")
         if bps[-1] - bps[0] >= _Q1:
             raise PreconditionError("an arc must be shorter than the circle")
-        for i in range(1, len(pcs)):
-            if _piece_value(pcs[i - 1], bps[i]) != _piece_value(pcs[i], bps[i]):
-                raise PreconditionError(f"discontinuity at {bps[i]}")
-        return {"breakpoints": bps, "pieces": pcs}
+        _check_junctions(bps, pcs)
+        return {"breakpoints": tuple(bps), "pieces": tuple(pcs)}
 
     @property
     def hi(self) -> Quad:
@@ -446,13 +439,9 @@ def restrict_to_arc(s: CirclePAF, lo, hi) -> ArcSection:
         raise PreconditionError("anchor the arc start in [0, 1)")
     if not lo < hi or hi - lo >= _Q1:
         raise PreconditionError("an arc must be shorter than the circle")
-    cuts = [lo, hi]
-    for bp in s.breakpoints:
-        for k in (0, 1):
-            lifted = bp + k
-            if lo < lifted < hi:
-                cuts.append(lifted)
-    cuts = sorted(set(cuts))
+    # the breakpoints lie in [0, 1), so their lifts by 0, then by 1, ascend
+    lifts = [bp + k for k in (0, 1) for bp in s.breakpoints]
+    cuts = [lo, *(t for t in lifts if lo < t < hi), hi]
     # each cell's piece starts at its left cut
     return ArcSection(tuple(cuts), tuple(s.piece_at(u) for u in cuts[:-1]))
 

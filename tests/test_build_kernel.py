@@ -101,7 +101,7 @@ def check_clamp(f, c):
 
 
 def ref_minkowski(a, b):
-    return Polygon.hull([(x1 + x2, y1 + y2) for x1, y1 in a.vertices for x2, y2 in b.vertices])
+    return Polygon([(x1 + x2, y1 + y2) for x1, y1 in a.vertices for x2, y2 in b.vertices])
 
 
 def check_minkowski(a, b):
@@ -371,8 +371,8 @@ def test_fraction_operations_through_minkowski():
         x = FracBody(random_polygon(rng, 4), random_polygon(rng, 4))
         y = FracBody(random_polygon(rng, 4), random_polygon(rng, 4))
         out = frac_oplus(x, y)
-        union = Polygon.hull(ref_minkowski(x.pos, y.neg).vertices
-                             + ref_minkowski(y.pos, x.neg).vertices)
+        union = Polygon(ref_minkowski(x.pos, y.neg).vertices
+                        + ref_minkowski(y.pos, x.neg).vertices)
         assert (out.pos, out.neg) == (union, ref_minkowski(x.neg, y.neg))
         total = x + y
         assert (total.pos, total.neg) == (ref_minkowski(x.pos, y.pos),

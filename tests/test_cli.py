@@ -256,10 +256,21 @@ def test_laws_run_unknown_suite(tmp_path):
 
 
 def test_laws_run_env_seed_override(tmp_path, monkeypatch):
+    # the convex suite's report depends on the seed: 1,025 checks at 3, 1,027 at 99
+    args = ("laws-run", None, "convex", "--cases", "5", "--seed")
+    _, at_3 = run_cli(tmp_path, *args, "3")
+    _, at_99 = run_cli(tmp_path, *args, "99")
+    assert at_3 != at_99
     monkeypatch.setenv("CHAR1_SEED", "99")
-    code, out = run_cli(tmp_path, "laws-run", None, "decomposition", "--seed", "3",
-                        "--cases", "5")
-    assert code == 0 and json.loads(out)["failed"] == 0
+    code, out = run_cli(tmp_path, *args, "3")
+    assert code == 0 and out == at_99
+
+
+def test_a_bad_env_seed_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHAR1_SEED", "x")
+    code, out = run_cli(tmp_path, "laws-run", None, "convex", "--cases", "5")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "char1: bad CHAR1_SEED 'x'\n"
 
 
 def test_unknown_verb(tmp_path):

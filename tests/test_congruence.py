@@ -59,8 +59,9 @@ def test_closed_set_contains_matches_a_linear_scan():
             assert k.contains(t) == any(a <= t <= b for a, b in ivs), (k, t)
         points += sum(a == b for a, b in ivs)
     assert points > 20
-    assert not ClosedSet.empty().contains(0)
-    assert ClosedSet.point(F(1, 3)).contains(F(1, 3)) and not ClosedSet.point(F(1, 3)).contains(0)
+    assert not ClosedSet(()).contains(0)
+    point = ClosedSet.of((F(1, 3), F(1, 3)))
+    assert point.contains(F(1, 3)) and not point.contains(0)
 
 
 def test_closed_set_algebra():
@@ -75,8 +76,8 @@ def test_closed_set_algebra():
                 max_size=4))
 def test_closed_set_ops_by_membership(pairs):
     ivs = [(min(a, b), max(a, b)) for a, b in pairs]
-    k1 = ClosedSet.of(*ivs[:2]) if ivs[:2] else ClosedSet.empty()
-    k2 = ClosedSet.of(*ivs[2:]) if ivs[2:] else ClosedSet.empty()
+    k1 = ClosedSet.of(*ivs[:2]) if ivs[:2] else ClosedSet(())
+    k2 = ClosedSet.of(*ivs[2:]) if ivs[2:] else ClosedSet(())
     probes = [F(i, 16) for i in range(17)]
     for t in probes:
         assert k1.union(k2).contains(t) == (k1.contains(t) or k2.contains(t))
@@ -88,7 +89,7 @@ def test_related_examples():
     assert related(r, PAF.identity(), PAF.identity().oplus(PAF.constant(F(1, 2))))
     f = random_paf(random.Random(1))
     assert related(r, f, f)
-    r_pt = RestrictionCongruence(ClosedSet.point(F(1, 2)))
+    r_pt = RestrictionCongruence(ClosedSet.of((F(1, 2), F(1, 2))))
     assert not related(r_pt, PAF.identity(), ZERO)
 
 
@@ -103,7 +104,7 @@ def test_related_by_grid_oracle():
 
 
 def test_trivial_congruence_relates_everything():
-    r = RestrictionCongruence(ClosedSet.empty())
+    r = RestrictionCongruence(ClosedSet(()))
     assert r.is_trivial
     assert related(r, PAF.identity(), PAF.constant(9))
     assert related(r, PAF.identity(), PAF.constant(9, 0, 2))  # even across domains
@@ -145,7 +146,7 @@ def test_cutoff_keeps_f_where_the_bump_has_levelled_off():
             if steep * d.eval(t) >= 1:
                 assert h.eval(t) == f.eval(t), t
     with pytest.raises(PreconditionError, match="nonnegative"):
-        cutoff(PAF.constant(1), ClosedSet.point(0), slope=-1)
+        cutoff(PAF.constant(1), ClosedSet.of((0, 0)), slope=-1)
 
 
 def test_quotient_norm_examples():
@@ -159,7 +160,7 @@ def test_quotient_norm_examples():
     assert quotient_norm(ZERO, k) == 0
     assert min_representative(ZERO, k) == ZERO
     with pytest.raises(PreconditionError):
-        quotient_norm(f, ClosedSet.empty())
+        quotient_norm(f, ClosedSet(()))
 
 
 def test_quotient_norm_infimum_is_attained():
@@ -217,7 +218,7 @@ def test_join_meet_examples():
 def test_zariski_examples():
     r = RestrictionCongruence(ClosedSet.of((F(1, 4), F(1, 2))))
     assert r.k == ClosedSet.of((F(1, 4), F(1, 2)))
-    assert RestrictionCongruence(ClosedSet.empty()).k.is_empty
+    assert RestrictionCongruence(ClosedSet(())).k.is_empty
     rng = random.Random(17)
     for _ in range(60):
         r1 = RestrictionCongruence(random_closed_set(rng))
@@ -292,7 +293,7 @@ def test_point_restriction_is_evaluation_character():
     rng = random.Random(29)
     for _ in range(40):
         x = F(rng.randint(0, 8), 8)
-        r = RestrictionCongruence(ClosedSet.point(x))
+        r = RestrictionCongruence(ClosedSet.of((x, x)))
         f, g = random_paf(rng), random_paf(rng)
         phi = PointEval(x)
         assert related(r, f, g) == (apply_char(phi, f) == apply_char(phi, g))

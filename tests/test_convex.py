@@ -32,10 +32,10 @@ from char1.errors import PreconditionError
 from char1.laws import support_mismatch
 from char1.paf import PAFSemifield
 
-SEG_X = Polygon.hull([(0, 0), (1, 0)])
-SEG_Y = Polygon.hull([(0, 0), (0, 1)])
-SQUARE01 = Polygon.hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-TRI = Polygon.hull([(0, 0), (2, 0), (0, 1)])
+SEG_X = Polygon([(0, 0), (1, 0)])
+SEG_Y = Polygon([(0, 0), (0, 1)])
+SQUARE01 = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+TRI = Polygon([(0, 0), (2, 0), (0, 1)])
 E = Polygon.square()
 
 
@@ -52,7 +52,7 @@ def test_minkowski_examples():
 
 
 def test_hull_drops_interior_and_collinear_points():
-    p = Polygon.hull([(0, 0), (2, 0), (1, 0), (1, 1), (F(1, 2), F(1, 4))])
+    p = Polygon([(0, 0), (2, 0), (1, 0), (1, 1), (F(1, 2), F(1, 4))])
     assert p.vertices == ((F(0), F(0)), (F(2), F(0)), (F(1), F(1)))
 
 
@@ -65,9 +65,9 @@ def test_support_examples():
 def _random_body(rng, max_points=5, lim=5):
     """A random hull of 1 to max_points rational points, not always
     holding the origin."""
-    return Polygon.hull([(F(rng.randint(-lim, lim), rng.randint(1, 3)),
-                          F(rng.randint(-lim, lim), rng.randint(1, 3)))
-                         for _ in range(rng.randint(1, max_points))])
+    return Polygon([(F(rng.randint(-lim, lim), rng.randint(1, 3)),
+                     F(rng.randint(-lim, lim), rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, max_points))])
 
 
 def _angle_from_straight_down(ray):
@@ -95,7 +95,7 @@ def test_merged_fan_rays_are_sorted_primitive_and_less_than_a_half_turn_apart():
 
 def test_support_check_catches_a_hull_union_that_agrees_on_the_merged_fan():
     a, b = Polygon(((1, 0),)), Polygon(((0, 1),))
-    wrong = Polygon.hull([(1, 0), (0, 1), (1, 1)])
+    wrong = Polygon([(1, 0), (0, 1), (1, 1)])
     total = minkowski(a, b)
     for ray in merged_fan(a, b, wrong, total):
         assert wrong.support(ray) == max(a.support(ray), b.support(ray))
@@ -154,7 +154,7 @@ def test_gauge_and_rnorm_examples():
 def test_gauge_rejects_degenerate_unit():
     with pytest.raises(PreconditionError):
         r_norm_body(Polygon(((F(1), F(1)),)), SEG_X)
-    shifted = Polygon.hull([(1, 1), (2, 1), (2, 2), (1, 2)])
+    shifted = Polygon([(1, 1), (2, 1), (2, 2), (1, 2)])
     with pytest.raises(PreconditionError):
         r_norm_body(Polygon(((F(1), F(1)),)), shifted)
 
@@ -199,7 +199,7 @@ def test_polygon_vertices_take_whatever_fraction_takes():
     from decimal import Decimal
 
     body = Polygon((("1/2", 0.25), (Decimal("-1.5"), 2), (F(1, 3), "-7")))
-    assert body == Polygon.hull([(F(1, 2), F(1, 4)), (F(-3, 2), F(2)), (F(1, 3), F(-7))])
+    assert body == Polygon([(F(1, 2), F(1, 4)), (F(-3, 2), F(2)), (F(1, 3), F(-7))])
 
 
 def test_direction_canonicalization():
@@ -253,7 +253,7 @@ def test_frac_oplus_segments_example():
 
 def test_fracbody_requires_origin():
     with pytest.raises(PreconditionError):
-        FracBody(Polygon.hull([(1, 1), (2, 2)]), Polygon.origin())
+        FracBody(Polygon([(1, 1), (2, 2)]), Polygon.origin())
 
 
 def test_i_invariance_examples():
@@ -311,7 +311,7 @@ def test_euclidean_mode_is_correctly_rounded():
     bodies = [Polygon.origin(), Polygon(((F(10 ** 300), F(-10 ** 300)),))]
     for bits in (3, 20, 53, 60, 64, 90):
         for _ in range(40):
-            bodies.append(Polygon.hull([
+            bodies.append(Polygon([
                 (F(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** rng.choice((1, bits)))),
                  F(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** rng.choice((1, bits)))))
                 for _ in range(rng.randint(1, 4))]))
@@ -331,7 +331,7 @@ def test_euclidean_mode_rejects_a_norm_beyond_the_float_range():
 
 def test_gauge_equals_polar_support():
     rng = random.Random(51)
-    units = [E, Polygon.hull([(-1, -1), (3, -1), (0, 2)])]
+    units = [E, Polygon([(-1, -1), (3, -1), (0, 2)])]
     for e in units:
         pole = polar(e)
         for _ in range(200):
@@ -391,7 +391,7 @@ def test_stored_form_is_reduced():
 def test_equal_bodies_have_equal_ints_and_hash():
     rng = random.Random(61)
     small = Polygon(((0, 0), (F(1, 2), 0), (0, F(1, 2))))
-    pairs = [(minkowski(small, small), Polygon.hull([(0, 0), (1, 0), (0, 1)])),
+    pairs = [(minkowski(small, small), Polygon([(0, 0), (1, 0), (0, 1)])),
              (Polygon.square(F(2, 3)).dilate(F(3, 2)), E)]
     for _ in range(100):
         a, q = rational_polygon(rng, rng.randint(1, 6)), F(rng.randint(1, 9), rng.randint(1, 9))
@@ -481,7 +481,7 @@ def test_frac_walk_results_pass_the_decoder():
     """The fraction operations emit through ``_frac`` without ``FracBody``'s checks;
     each result is one that the decoder accepts, as the same value."""
     rng = random.Random(71)
-    shapes = [Polygon.origin(), SEG_X, SEG_Y, Polygon.hull([(0, 0), (-3, 2)]), TRI, E]
+    shapes = [Polygon.origin(), SEG_X, SEG_Y, Polygon([(0, 0), (-3, 2)]), TRI, E]
     ops = PolygonFractionSemifield()
     for _ in range(200):
         x, y = (FracBody(rng.choice(shapes) if rng.random() < 0.3 else random_polygon(rng),

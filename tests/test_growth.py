@@ -80,7 +80,7 @@ def body(n: int, shift: int) -> Polygon:
 
 PAF_SIZES = (128, 512, 2048)
 BODY_SIZES = (16, 64, 256)
-POINT = ClosedSet.point(F(1, 3))
+POINT = ClosedSet.of((F(1, 3), F(1, 3)))
 
 
 def paf_args(n):

@@ -31,7 +31,7 @@ from char1.spectrum import SupportDir, apply_char, attain_norm
 from char1.valuation import convexity_criterion
 
 E = Polygon.square()
-TRI = Polygon.hull([(0, 0), (2, 0), (0, 1)])
+TRI = Polygon([(0, 0), (2, 0), (0, 1)])
 
 
 # -- references ----------------------------------------------------------------------
@@ -110,7 +110,7 @@ def random_body(rng, origin=True):
            for _ in range(count - origin)]
     if origin:
         pts.append((F(0), F(0)))
-    body = Polygon.hull(pts)
+    body = Polygon(pts)
     if kind == "dilated":
         body = body.dilate(F(rng.randint(1, 9), rng.randint(1, 9)))
     return body
@@ -121,7 +121,7 @@ def random_unit(rng):
     plus one more point."""
     a, b, c, d = (F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(4))
     extra = (F(rng.randint(-6, 6), 3), F(rng.randint(-6, 6), 5))
-    return Polygon.hull([(a, F(1, 7)), (F(-1, 5), b), (-c, F(0)), (F(0), -d), extra])
+    return Polygon([(a, F(1, 7)), (F(-1, 5), b), (-c, F(0)), (F(0), -d), extra])
 
 
 def random_psi(rng):
@@ -139,7 +139,7 @@ def round_unit(rng, n):
         theta = -math.pi + 2 * math.pi * (k + rng.uniform(0.4, 0.6)) / n
         t = F(math.tan(theta / 2)).limit_denominator(60)
         pts.append((a * (1 - t * t) / (1 + t * t), b * 2 * t / (1 + t * t)))
-    return Polygon.hull(pts)
+    return Polygon(pts)
 
 
 ROUND_UNITS = [round_unit(random.Random(3), 3), round_unit(random.Random(4), 8),
@@ -232,14 +232,14 @@ def test_attain_norm_takes_the_first_tying_candidate():
     assert attain_norm(E, E).psi == Direction(-1, 0)
     # the polar vertices stay below the norm 3/2; the first edge normal of
     # pos, (1, -1), and an edge normal of neg, (-1, -1), both reach it
-    x = FracBody(Polygon.hull([(-2, -2), (0, 0), (-2, 0)]),
-                 Polygon.hull([(-2, 1), (1, -2), (0, 0)]))
+    x = FracBody(Polygon([(-2, -2), (0, 0), (-2, 0)]),
+                 Polygon([(-2, 1), (1, -2), (0, 0)]))
     values = [abs(ref_char_eval(psi.as_pair(), x, E)) for psi in ref_candidates(x, E)]
     assert [i for i, v in enumerate(values) if v == F(3, 2)] == [4, 7]
     assert attain_norm(x, E).psi == Direction(1, -1)
     # only an edge normal of neg reaches the norm 5/3
-    x = FracBody(Polygon.hull([(-1, -2), (1, 1), (0, 0)]),
-                 Polygon.hull([(0, 0), (2, -1), (1, 0)]))
+    x = FracBody(Polygon([(-1, -2), (1, 1), (0, 0)]),
+                 Polygon([(0, 0), (2, -1), (1, 0)]))
     assert r_norm_frac(x, E) == F(5, 3)
     assert attain_norm(x, E).psi == Direction(-1, -2)
 
@@ -275,7 +275,7 @@ def test_default_unit_is_one_shared_square():
     from char1.convex import DEFAULT_UNIT, PolygonFractionSemifield
 
     assert DEFAULT_UNIT == E
-    body = FracBody(TRI, Polygon.hull([(0, 0), (-1, F(1, 2))]))
+    body = FracBody(TRI, Polygon([(0, 0), (-1, F(1, 2))]))
     assert attain_norm(body) == attain_norm(body, Polygon.square())
     assert attain_norm(TRI) == attain_norm(TRI, Polygon.square())
     assert attain_norm(body).unit is attain_norm(TRI).unit is DEFAULT_UNIT
@@ -285,9 +285,9 @@ def test_default_unit_is_one_shared_square():
 
 
 BAD_UNITS = [
-    Polygon.hull([(0, 0), (1, 0), (1, 1), (0, 1)]),  # origin on the boundary
-    Polygon.hull([(1, 1), (2, 1), (2, 2)]),  # origin outside
-    Polygon.hull([(-1, 0), (1, 0)]),  # not full-dimensional
+    Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),  # origin on the boundary
+    Polygon([(1, 1), (2, 1), (2, 2)]),  # origin outside
+    Polygon([(-1, 0), (1, 0)]),  # not full-dimensional
     Polygon.origin(),
 ]
 
@@ -316,8 +316,8 @@ def test_bad_unit_bodies_always_raise(name):
 
 def test_no_norm_or_character_path_takes_a_hull_of_the_unit(monkeypatch):
     e = round_unit(random.Random(7), 40)
-    a = Polygon.hull([(F(1, 2), F(-3)), (F(-5, 3), F(2, 7)), (F(0), F(0))])
-    b = Polygon.hull([(F(4), F(1, 3)), (F(-1), F(-2, 5)), (F(0), F(0)), (F(2, 3), F(3))])
+    a = Polygon([(F(1, 2), F(-3)), (F(-5, 3), F(2, 7)), (F(0), F(0))])
+    b = Polygon([(F(4), F(1, 3)), (F(-1), F(-2, 5)), (F(0), F(0)), (F(2, 3), F(3))])
     x = FracBody(a, b)
     psi = (F(3), F(-2, 7))
     first, best = ref_attain(x, e)

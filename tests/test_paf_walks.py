@@ -230,9 +230,9 @@ def test_restrict_equals_the_pullback_by_the_identity():
 # -- bump and cutoff ----------------------------------------------------------------
 
 EDGE_SETS = [
-    ClosedSet.point(F(1, 2)),
-    ClosedSet.point(0),
-    ClosedSet.point(1),
+    ClosedSet.of((F(1, 2), F(1, 2))),
+    ClosedSet.of((0, 0)),
+    ClosedSet.of((1, 1)),
     ClosedSet.of((0, 1)),
     ClosedSet.of((0, F(1, 4)), (F(3, 4), 1)),  # intervals at lo and hi
     ClosedSet.of((F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))),  # touching: one interval
@@ -252,7 +252,7 @@ def test_cutoff_equals_the_envelope_walks_on_the_edge_cases():
     # slope 0; a bump that levels off inside every gap; one whose ramps
     # meet exactly at the midpoint of a gap of 1/4 (reach 1/8); one that
     # never levels off
-    for k in EDGE_SETS + [ClosedSet.empty()]:
+    for k in EDGE_SETS + [ClosedSet(())]:
         for f in fs:
             for slope in (None, 0, F(1, 2), 8, 64):
                 assert cg.cutoff(f, k, slope) == envelope_cutoff(f, k, slope), (f, k, slope)
@@ -307,8 +307,8 @@ def closed_sets_on(rng, f):
     on = sorted(rng.sample(ts, min(4, len(ts))))
     yield random_closed_set(rng, lo, hi, max_parts=4)
     yield ClosedSet.of(*((t, t) for t in [lo, hi, *on[:2], *inner]))
-    yield ClosedSet.point(lo)
-    yield ClosedSet.point(hi)
+    yield ClosedSet.of((lo, lo))
+    yield ClosedSet.of((hi, hi))
     yield ClosedSet.of((lo, hi))
     yield ClosedSet.of((lo, on[1]), (on[-1], hi))
     yield ClosedSet.of((on[0], on[-1]))
@@ -337,11 +337,11 @@ def test_related_keeps_its_errors():
     r = RestrictionCongruence(ClosedSet.of((F(1, 2), 2)))
     with pytest.raises(PreconditionError, match="restriction set leaves"):
         cg.related(r, PAF.identity(), PAF.constant(0))
-    r = RestrictionCongruence(ClosedSet.point(F(1, 2)))
+    r = RestrictionCongruence(ClosedSet.of((F(1, 2), F(1, 2))))
     with pytest.raises(PreconditionError, match="domain mismatch"):
         cg.related(r, PAF.identity(), PAF.constant(0, 0, 2))
     with pytest.raises(PreconditionError, match="nonempty restriction set"):
-        cg.quotient_norm(PAF.identity(), ClosedSet.empty(), PAF.identity())
+        cg.quotient_norm(PAF.identity(), ClosedSet(()), PAF.identity())
 
 
 # -- the integer breakpoint scan -----------------------------------------------------

@@ -97,7 +97,6 @@ PROBES = {
     "ClosedSet-single": lambda: ClosedSet([(0,)]),
     "ClosedSet-int": lambda: ClosedSet(5),
     "Polygon-int": lambda: Polygon(5),
-    "Polygon.hull-int": lambda: Polygon.hull(5),
     "CirclePAF-piece-single": lambda: CirclePAF((0,), ((1,),)),
     "CirclePAF-breakpoints-int": lambda: CirclePAF(5, ((0, 1),)),
     "CirclePAF.from_kinks-single": lambda: CirclePAF.from_kinks(0, 0, [(0,)]),
@@ -105,11 +104,11 @@ PROBES = {
     "ArcSection-int": lambda: ArcSection(5, 5),
     "ArcSection-piece-single": lambda: ArcSection((0, F(1, 2)), (1,)),
     "ClosedSet.of": lambda: ClosedSet.of(("x", 1)),
-    "ClosedSet.contains": lambda: ClosedSet.point(0).contains("x"),
+    "ClosedSet.contains": lambda: ClosedSet.of((0, 0)).contains("x"),
     "PointEval": lambda: PointEval("x"),
     "SCALAR.scale": lambda: SCALAR.scale("x", F(1)),
     "SCALAR.scale-element": lambda: SCALAR.scale(1, "x"),
-    "cutoff-slope": lambda: cutoff(f, ClosedSet.point(0), "x"),
+    "cutoff-slope": lambda: cutoff(f, ClosedSet.of((0, 0)), "x"),
     "PAF.oplus-int": lambda: f.oplus(3),
     "PAF.add-int": lambda: f + 3,
     "PAF.sub-int": lambda: f - 3,
@@ -120,9 +119,11 @@ PROBES = {
     "PAFSemifield.neg-int": lambda: PAFSemifield().neg(3),
     "PAFSemifield.neg-str": lambda: PAFSemifield().neg("x"),
     "PAFSemifield.r_norm-int": lambda: PAFSemifield().r_norm(3),
+    "PAFSemifield.eq-int": lambda: PAFSemifield().eq(3, 3),
     "SCALAR.oplus-str": lambda: SCALAR.oplus(F(1), "x"),
     "SCALAR.plus-str": lambda: SCALAR.plus(F(1), "x"),
     "SCALAR.r_norm-str": lambda: SCALAR.r_norm("x"),
+    "SCALAR.eq-str": lambda: SCALAR.eq("x", "x"),
     "PAF.tropical_min-int": lambda: f.tropical_min(3),
     "quotient_norm-int": lambda: quotient_norm(f, K, 3),
     "hull_union-int": lambda: hull_union(SQ, 3),
@@ -260,7 +261,6 @@ SCALAR_ENTRIES = {
     "PAF.compose_affine-hi": lambda x: f.compose_affine(1, 0, 0, x),
     "PAFSemifield": lambda x: PAFSemifield(x, 5).unit,
     "PAFSemifield.scale": lambda x: PAFSemifield().scale(x, f),
-    "ClosedSet.point": ClosedSet.point,
     "ClosedSet.contains": K.contains,
     "ClosedSet.within": lambda x: K.within(x, 1),
     "cutoff": lambda x: cutoff(f, K, x),
@@ -300,7 +300,6 @@ PAIR_ENTRIES = {
     "ClosedSet": lambda p: ClosedSet((p,)),
     "ClosedSet.of": lambda p: ClosedSet.of(p, (5, 6)),
     "Polygon": lambda p: Polygon(((0, 0), p)),
-    "Polygon.hull": lambda p: Polygon.hull([p]),
     "Polygon.support": SQ.support,
     "Polygon.contains": SQ.contains,
     "char_eval": lambda p: char_eval(p, SQ, SQ),

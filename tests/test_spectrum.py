@@ -24,7 +24,7 @@ HAT = PAF.affine(1, F(-1, 2)).oplus(PAF.affine(-1, F(1, 2)))
 def test_apply_examples():
     assert apply_char(PointEval(F(1, 3)), PAF.affine(2, -1)) == F(-1, 3)
     assert apply_char(PointEval(F(2, 7)), PAF.constant(1)) == 1
-    sq01 = Polygon.hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+    sq01 = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert apply_char(SupportDir(Direction(1, 0), E), sq01) == 1
     assert apply_char(SupportDir(Direction(1, 1), E), E) == 1
 
@@ -42,7 +42,7 @@ def test_attain_norm_examples():
     assert phi == PointEval(F(0))  # smallest attaining breakpoint
     assert abs(apply_char(phi, f)) == f.r_norm() == 1
 
-    tri = Polygon.hull([(0, 0), (2, 0), (0, 1)])
+    tri = Polygon([(0, 0), (2, 0), (0, 1)])
     psi = attain_norm(tri, E)
     assert isinstance(psi, SupportDir)
     assert apply_char(psi, tri) == r_norm_body(tri, E) == 2

@@ -60,15 +60,15 @@ def kink_criterion(f):
 
 def regular_unit(n, r=10**6):
     """n vertices near a circle of radius r about the origin."""
-    return Polygon.hull([(round(r * math.cos(2 * math.pi * k / n)),
-                          round(r * math.sin(2 * math.pi * k / n))) for k in range(n)])
+    return Polygon([(round(r * math.cos(2 * math.pi * k / n)),
+                     round(r * math.sin(2 * math.pi * k / n))) for k in range(n)])
 
 
 UNITS = {
     "square": Polygon.square(),
-    "triangle": Polygon.hull([(-1, -1), (2, 0), (0, 3)]),
-    "pentagon": Polygon.hull([(F(1), F(0)), (F(1, 3), F(1)), (F(-1), F(1, 2)),
-                              (F(-1, 2), F(-1)), (F(1, 2), F(-2, 3))]),
+    "triangle": Polygon([(-1, -1), (2, 0), (0, 3)]),
+    "pentagon": Polygon([(F(1), F(0)), (F(1, 3), F(1)), (F(-1), F(1, 2)),
+                         (F(-1, 2), F(-1)), (F(1, 2), F(-2, 3))]),
     "64-gon": regular_unit(64),
     "64-gon-rational": regular_unit(64, 9).dilate(F(3, 7)),
 }
@@ -91,14 +91,14 @@ def random_body(rng, lim=4, max_den=3):
         pts = [(F(rng.randint(-lim, lim), rng.randint(1, max_den)),
                 F(rng.randint(-lim, lim), rng.randint(1, max_den)))
                for _ in range(rng.randint(2, 6))]
-    return Polygon.hull([(F(0), F(0)), *pts])
+    return Polygon([(F(0), F(0)), *pts])
 
 
 def round_body(rng, n, r):
     """n points near a circle about a random centre, and the origin."""
     c = (rng.randint(-r // 2, r // 2), rng.randint(-r // 2, r // 2))
-    return Polygon.hull([(0, 0)] + [(c[0] + round(r * math.cos(t)), c[1] + round(r * math.sin(t)))
-                                    for t in sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))])
+    return Polygon([(0, 0)] + [(c[0] + round(r * math.cos(t)), c[1] + round(r * math.sin(t)))
+                               for t in sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))])
 
 
 # -- the sweep -------------------------------------------------------------------------
@@ -140,11 +140,11 @@ def test_constructed_ties_go_to_the_first_candidate():
     # every direction reaches |l_E / l_E| = 1: the first facet of E wins
     assert norm_ray(FracBody.of(e), e) == ((-1, 0), 1)
     # pos's first edge normal (1, -1) and an edge normal of neg both reach 3/2
-    x = FracBody(Polygon.hull([(-2, -2), (0, 0), (-2, 0)]),
-                 Polygon.hull([(-2, 1), (1, -2), (0, 0)]))
+    x = FracBody(Polygon([(-2, -2), (0, 0), (-2, 0)]),
+                 Polygon([(-2, 1), (1, -2), (0, 0)]))
     assert norm_ray(x, e) == scan_norm_ray(x, e) == ((1, -1), F(3, 2))
     # a body, its negative and their difference, zero, on every unit
-    a = Polygon.hull([(0, 0), (3, 1), (-1, 2)])
+    a = Polygon([(0, 0), (3, 1), (-1, 2)])
     for x in (FracBody(a, Polygon.origin()), FracBody(Polygon.origin(), a), FracBody(a, a)):
         for e in UNITS.values():
             assert norm_ray(x, e) == scan_norm_ray(x, e)
@@ -177,14 +177,14 @@ def ci_unit():
     """The unit body of the CI step "norms on a big unit body": 1,024
     vertices with 20-digit coordinates."""
     n, r = 1024, 9 * 10**19
-    return Polygon.hull([(int(r * math.cos(2 * math.pi * k / n)),
-                          int(r * math.sin(2 * math.pi * k / n))) for k in range(n)])
+    return Polygon([(int(r * math.cos(2 * math.pi * k / n)),
+                     int(r * math.sin(2 * math.pi * k / n))) for k in range(n)])
 
 
 # bodies whose normal run starts in each angle class of ``_not_after``
-STARTS = {0: Polygon.hull([(0, 0), (2, 1), (0, 2)]),  # first edge up and right
-          1: Polygon.hull([(0, 0), (2, -1), (1, 2)]),  # first edge down and right
-          2: Polygon.hull([(0, 0), (2, 0), (1, 2)])}  # first edge to the right
+STARTS = {0: Polygon([(0, 0), (2, 1), (0, 2)]),  # first edge up and right
+          1: Polygon([(0, 0), (2, -1), (1, 2)]),  # first edge down and right
+          2: Polygon([(0, 0), (2, 0), (1, 2)])}  # first edge to the right
 DEGENERATE = [Polygon.origin(), Polygon(((F(1, 2), F(-3)),)),
               Polygon(((-1, 2), (3, 2))), Polygon(((0, 0), (5, 0))),  # horizontal segments
               Polygon(((2, -1), (2, 3))), Polygon(((0, 0), (0, F(-1, 3)))),  # vertical ones
@@ -214,7 +214,7 @@ def test_merged_fan_emits_a_shared_normal_once():
     sq, tri = Polygon.square(), STARTS[2]
     # the square's normals are the axis rays; a dilate and a translate share all of them
     for bodies in [(sq,), (sq, sq), (sq, sq.dilate(3), Polygon.square(F(1, 7))),
-                   (tri, tri.dilate(F(2, 3)), sq), (tri, Polygon.hull([(5, 5), (7, 5), (6, 7)]))]:
+                   (tri, tri.dilate(F(2, 3)), sq), (tri, Polygon([(5, 5), (7, 5), (6, 7)]))]:
         fan = merged_fan(*bodies)
         assert fan == sorted_fan(*bodies) and len(set(fan)) == len(fan)
     assert merged_fan(sq, sq) == [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -233,7 +233,7 @@ def test_merged_fan_equals_the_sort_on_large_bodies(n):
 def test_merged_fan_equals_the_sort_on_the_ci_unit():
     e = ci_unit()
     assert len(e._iverts) == 1024
-    x = Polygon.hull([(0, 0), (3, 1), (-1, 2)])
+    x = Polygon([(0, 0), (3, 1), (-1, 2)])
     for bodies in [(e,), (e, x, Polygon.origin()), (e, e.dilate(F(1, 3)), UNITS["64-gon"])]:
         assert merged_fan(*bodies) == sorted_fan(*bodies)
 
@@ -275,10 +275,10 @@ def test_convexity_criterion_equals_the_kink_criterion(n):
 
 
 def random_unit(rng):
-    return Polygon.hull([(F(round(rng.uniform(1, 9) * 10**6 * math.cos(t)), rng.randint(1, 9)),
-                          F(round(rng.uniform(1, 9) * 10**6 * math.sin(t)), rng.randint(1, 9)))
-                         for t in (2 * math.pi * (k + rng.uniform(0.3, 0.7)) / 7
-                                   for k in range(7))])
+    return Polygon([(F(round(rng.uniform(1, 9) * 10**6 * math.cos(t)), rng.randint(1, 9)),
+                     F(round(rng.uniform(1, 9) * 10**6 * math.sin(t)), rng.randint(1, 9)))
+                    for t in (2 * math.pi * (k + rng.uniform(0.3, 0.7)) / 7
+                              for k in range(7))])
 
 
 def test_polar_equals_the_gcd_reduced_store():

@@ -29,8 +29,6 @@ UNREACHED = {
     "Quad.b": "a rational coordinate, read by the repr and the wire form of a Quad",
     "ArcSection.piece_at": "the query on one local section, the arc's form of "
                            "CirclePAF.piece_at; glue reads the same lookup directly",
-    "ClosedSet.point": "ClosedSet.of((t, t)) by name, for callers and examples",
-    "ClosedSet.empty": "ClosedSet(()) by name, for callers and examples",
     "SupportDir.to_json": "spec-attain writes it for a body; the golden request sends a PAF",
     "Direction.to_json": "SupportDir.to_json writes the direction with it",
 }

@@ -1,3 +1,4 @@
+import bisect
 import math
 import operator
 import random
@@ -414,6 +415,64 @@ def _random_section(rng, irrational):
         a = (v2 - v) / (t2 - t)
         pieces.append((a, v - a * t))
     return CirclePAF(tuple(bps), tuple(pieces))
+
+
+def _two_loop_canonical(bps, pcs):
+    """The reference canonical form, as two delete loops: merge equal
+    neighbours, then merge across the wrap (the last piece shifted by one
+    period), and write a single piece left as the flat one at 0."""
+    bps, pcs = list(bps), list(pcs)
+    i = 1
+    while i < len(pcs):
+        if pcs[i] == pcs[i - 1]:
+            del bps[i], pcs[i]
+        else:
+            i += 1
+    while len(pcs) > 1 and pcs[0] == (pcs[-1][0], pcs[-1][0] + pcs[-1][1]):
+        del bps[0], pcs[0]
+    if len(pcs) == 1:
+        assert pcs[0][0] == 0, "an affine circle function must be flat"
+        bps, pcs = [Quad(0)], [(Quad(0), pcs[0][1])]
+    return tuple(bps), tuple(pcs)
+
+
+def _cut_section(rng):
+    """Continuous circle data with runs of equal pieces: the cyclic
+    interpolation through one to three knots (one at sqrt 2 - 1 now and
+    then), cut at up to four more points where it does not bend.  A cut
+    below the first knot carries the wrapping piece shifted by one period,
+    so runs cross the wrap too."""
+    knots = {Quad(F(rng.randint(0, 11), 12)) for _ in range(rng.randint(1, 3))}
+    if rng.random() < 0.3:
+        knots.add(SQRT2 - 1)
+    knots = sorted(knots)
+    vals = [Quad(F(rng.randint(-3, 3), rng.randint(1, 2))) for _ in knots]
+    ends = list(zip(knots, vals))[1:] + [(knots[0] + 1, vals[0])]
+    arcs = []
+    for (t, v), (t2, v2) in zip(zip(knots, vals), ends):
+        a = (v2 - v) / (t2 - t)
+        arcs.append((a, v - a * t))
+    cuts = sorted(set(knots) | {Quad(F(rng.randint(0, 23), 24)) for _ in range(rng.randint(0, 4))})
+    pcs = []
+    for c in cuts:
+        i = bisect.bisect_right(knots, c) - 1
+        a, b = arcs[i]
+        pcs.append((a, b) if i >= 0 else (a, a + b))
+    return tuple(cuts), tuple(pcs)
+
+
+def test_circle_canonical_form_matches_the_two_loop_reference():
+    rng = random.Random(2016)
+    merged = across_wrap = irrational = 0
+    for _ in range(1500):
+        bps, pcs = _cut_section(rng)
+        s = CirclePAF(bps, pcs)
+        ref = _two_loop_canonical(bps, pcs)
+        assert repr((s.breakpoints, s.pieces)) == repr(ref), (bps, pcs)
+        merged += len(ref[0]) < len(bps)
+        across_wrap += len(pcs) > 1 and pcs[0] == (pcs[-1][0], pcs[-1][0] + pcs[-1][1])
+        irrational += SQRT2 - 1 in bps
+    assert merged > 1000 and across_wrap > 500 and irrational > 300
 
 
 def _value_by_scan(s, c):
