@@ -81,9 +81,9 @@ class ClosedSet(Value):
 class RestrictionCongruence(Value):
     """Agreement on a closed subset of the domain.
 
-    The empty set is allowed and flagged: it is the trivial congruence
-    relating everything.  Its Zariski closed set V(r), the point
-    characters factoring through the quotient, is exactly ``k``.
+    The empty set is allowed: it is the trivial congruence relating
+    everything, read as ``r.k.is_empty``.  Its Zariski closed set V(r),
+    the point characters factoring through the quotient, is exactly ``k``.
     """
 
     k: ClosedSet
@@ -91,10 +91,6 @@ class RestrictionCongruence(Value):
     def __post_init__(self, k):
         check_model(k, ClosedSet)
         return {"k": k}
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.k.is_empty
 
 
 def related(r: RestrictionCongruence, f: PAF, g: PAF) -> bool:
@@ -105,12 +101,12 @@ def related(r: RestrictionCongruence, f: PAF, g: PAF) -> bool:
     congruence relates everything, on any domains.
     """
     check_model(r, RestrictionCongruence)
-    return r.is_trivial or quotient_norm(f, r.k, g) == 0
+    return r.k.is_empty or quotient_norm(f, r.k, g) == 0
 
 
 def class_of_zero_contains(r: RestrictionCongruence, f: PAF) -> bool:
     check_model(r, RestrictionCongruence)
-    return r.is_trivial or quotient_norm(f, r.k) == 0
+    return r.k.is_empty or quotient_norm(f, r.k) == 0
 
 
 def quotient_norm(f: PAF, k: ClosedSet, g: PAF | None = None) -> Fraction:
@@ -243,7 +239,7 @@ def split_vanishing(f: PAF, r1: RestrictionCongruence,
     """
     if not class_of_zero_contains(join(r1, r2), f):
         raise PreconditionError("function must vanish on the intersection")
-    if r1.is_trivial:
+    if r1.k.is_empty:
         return f, PAF.constant(0, f.lo, f.hi)
     # the positive gaps between K1 and K2: of two disjoint intervals, exactly
     # one of c - b and a - d is positive

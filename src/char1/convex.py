@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import PreconditionError
-from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
-                      parse_object, parse_pair)
+from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, first_max, fmt_rat,
+                      parse_list, parse_object, parse_pair)
 from .semifield import CharOneSemifield
 
 Point = tuple[Fraction, Fraction]
@@ -64,10 +64,7 @@ def _int_hull(ipts) -> list:
         while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        hull = hull[:1]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def _store_hull(hull, den: int, vertices=None) -> Polygon:
@@ -128,10 +125,6 @@ class Polygon(Value):
         return hash((self._den, self._iverts))
 
     @classmethod
-    def origin(cls) -> "Polygon":
-        return _ORIGIN
-
-    @classmethod
     def square(cls, half_width=1) -> "Polygon":
         h = as_rat(half_width)
         return cls(((-h, -h), (h, -h), (h, h), (-h, h)))
@@ -154,7 +147,7 @@ class Polygon(Value):
         if q < 0:
             raise PreconditionError("dilation factor must be nonnegative")
         if q == 0:
-            return Polygon.origin()
+            return _ORIGIN
         # positive scaling preserves the canonical vertex order
         return _store_hull([(x * q.numerator, y * q.numerator) for x, y in self._iverts],
                            self._den * q.denominator)
@@ -299,11 +292,11 @@ class Direction(Value):
 
 
 def normal_fan_rays(p: Polygon) -> list[tuple[int, int]]:
-    """Outward edge normals of the integer surrogate, positive multiples of
-    the true ones; candidate directions where support-function ratios
-    attain their extrema (a ratio of linears over a pointed cone is a
-    mediant, so it is maximized on a ray)."""
-    return [(dy, -dx) for dx, dy in _edges(p._iverts)]
+    """Outward edge normals of the integer surrogate as primitive integer
+    vectors, in walk order; candidate directions where support-function
+    ratios attain their extrema (a ratio of linears over a pointed cone is
+    a mediant, so it is maximized on a ray)."""
+    return [(dy // g, -dx // g) for dx, dy in _edges(p._iverts) for g in [math.gcd(dx, dy)]]
 
 
 def merged_fan(*bodies: Polygon) -> list[tuple[int, int]]:
@@ -315,7 +308,7 @@ def merged_fan(*bodies: Polygon) -> list[tuple[int, int]]:
     of rays, past one bisection per body."""
     fan = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     for body in bodies:
-        run = [(p // g, q // g) for p, q in normal_fan_rays(body) for g in [math.gcd(p, q)]]
+        run = normal_fan_rays(body)
         if not run:
             continue
         # the rays at or after run[0] come first, then the ones before it
@@ -364,10 +357,11 @@ def _supports(p: Polygon, fan) -> list[int]:
 
 def facets(e: Polygon) -> list[tuple[tuple[int, int], int]]:
     """Outward facets (n, c) of a unit body's integer surrogate: with d the
-    common denominator of E's vertices, E = {x : <n, x> <= c / d}.  Checked
-    (full-dimensional, the origin strictly inside) and cached on the body; a
-    bad body caches nothing.  Facet (n, c) is the polar vertex n * d / c, and
-    the list starts at the lexicographically least, in the polar's order."""
+    common denominator of E's vertices and n primitive, E = {x : <n, x> <=
+    c / d}.  Checked (full-dimensional, the origin strictly inside) and
+    cached on the body; a bad body caches nothing.  Facet (n, c) is the
+    polar vertex n * d / c, and the list starts at the lexicographically
+    least, in the polar's order."""
     check_model(e, Polygon)
     fs = e.__dict__.get("_facets")
     if fs is None:
@@ -388,12 +382,8 @@ def r_norm_body(a: Polygon, e: Polygon) -> Fraction:
     <n, v> / (c / d) over the facets of E; it is r_norm_body of the point
     body {v}."""
     check_model(a, Polygon)
-    best, c_best = 0, 1
-    for n, c in facets(e):
-        top = a._isupport(*n)
-        if top * c_best > best * c:
-            best, c_best = top, c
-    return Fraction(best * e._den, c_best * a._den)
+    _, (top, c) = first_max([(a._isupport(*n), c) for n, c in facets(e)])
+    return Fraction(top * e._den, c * a._den)
 
 
 def polar(e: Polygon) -> Polygon:
@@ -463,7 +453,7 @@ class FracBody(Value):
 
     @classmethod
     def of(cls, body: Polygon) -> "FracBody":
-        return cls(body, Polygon.origin())
+        return cls(body, _ORIGIN)
 
     def __add__(self, other: "FracBody") -> "FracBody":
         check_model(other, FracBody)
@@ -514,23 +504,20 @@ def norm_ray(x: FracBody, e: Polygon) -> tuple[tuple[int, int], Fraction]:
     refinement of the three normal fans, so its maximum sits on one of the
     candidate rays: E's facet normals (the polar's vertices), then the
     edge normals of A, then those of B, each as a primitive integer vector
-    and taken once, in that order.  ``merged_fan`` merges the rays and one
+    and taken once, in that order; ties go to the first, by
+    ``scalars.first_max``.  ``merged_fan`` merges the rays and one
     sweep of it gives every body's support at every ray, so the search is
     linear in |E| + |A| + |B|, past one bisection per body.
     """
     check_model(x, FracBody)
     a, b = x.pos, x.neg
-    rays = [*(n for n, _ in facets(e)), *normal_fan_rays(a), *normal_fan_rays(b)]
-    rays = dict.fromkeys((p // g, q // g) for p, q in rays for g in [math.gcd(p, q)])
+    rays = [n for n, _ in facets(e)] + normal_fan_rays(a) + normal_fan_rays(b)
+    rays = list(dict.fromkeys(rays))
     fan = merged_fan(e, a, b)
     at = {r: (abs(ha * b._den - hb * a._den), he)
           for r, ha, hb, he in zip(fan, _supports(a, fan), _supports(b, fan), _supports(e, fan))}
-    best_ray, top, s_top = next(iter(rays)), 0, 1
-    for ray in rays:
-        diff, s = at[ray]
-        if diff * s_top > top * s:
-            best_ray, top, s_top = ray, diff, s
-    return best_ray, Fraction(top * e._den, s_top * a._den * b._den)
+    i, (top, s) = first_max([at[ray] for ray in rays])
+    return rays[i], Fraction(top * e._den, s * a._den * b._den)
 
 
 def r_norm_frac(x: FracBody, e: Polygon) -> Fraction:

@@ -317,7 +317,7 @@ def _local_morphism(alpha, beta, x_src, x_dst) -> bool:
     hat |t - x_src|) a strictly positive valuation at x_src is one at x_dst."""
     if alpha * x_dst + beta != x_src:
         return False
-    probes = [PAF.identity(0, 1), PAF.constant(1, 0, 1)]
+    probes = [PAF.affine(1, 0, 0, 1), PAF.constant(1, 0, 1)]
     if 0 < x_src < 1:
         probes.append(PAF.affine(1, -x_src, 0, 1).oplus(PAF.affine(-1, x_src, 0, 1)))
     return all((vl._shifted_valuation(f, x_src) > 0)

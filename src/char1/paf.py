@@ -22,8 +22,8 @@ from itertools import accumulate
 from math import gcd
 
 from .errors import PreconditionError, SchemaError
-from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, fmt_rat, parse_list,
-                      parse_object, parse_pieces, parse_rat)
+from .scalars import (Value, as_items, as_pair, as_rat, build, check_model, first_max, fmt_rat,
+                      parse_list, parse_object, parse_pieces, parse_rat)
 from .semifield import CharOneSemifield
 
 Piece = tuple[Fraction, Fraction]
@@ -85,10 +85,6 @@ class PAF(Value):
             raise PreconditionError("breakpoints must be strictly increasing")
         return _store(((lo.numerator, lo.denominator), (hi.numerator, hi.denominator)),
                       (_triple(as_rat(a), as_rat(b)),))
-
-    @classmethod
-    def identity(cls, lo=0, hi=1) -> "PAF":
-        return cls.affine(1, 0, lo, hi)
 
     @classmethod
     def from_samples(cls, samples) -> "PAF":
@@ -153,10 +149,12 @@ class PAF(Value):
         return [(n * x + m * y, d * y) for (n, m, d), (x, y) in zip(cells, pts)]
 
     def min_value(self) -> Fraction:
-        return -_first_max([(-num, den) for num, den in self._values()])[1]
+        _, (num, den) = first_max([(-num, den) for num, den in self._values()])
+        return Fraction(-num, den)
 
     def max_value(self) -> Fraction:
-        return _first_max(self._values())[1]
+        _, (num, den) = first_max(self._values())
+        return Fraction(num, den)
 
     # -- semifield arithmetic ------------------------------------------------
 
@@ -264,11 +262,13 @@ class PAF(Value):
     def _peak(self, windows=None) -> tuple[int, Fraction]:
         """(i, |f(t_i)|) for the first point t_i of ``_values(windows)``
         where |f| is largest: on the domain, t_i is breakpoint i."""
-        return _first_max([(abs(num), den) for num, den in self._values(windows)])
+        i, (num, den) = first_max([(abs(num), den) for num, den in self._values(windows)])
+        return i, Fraction(num, den)
 
     def lipschitz(self) -> Fraction:
         """The largest |slope|."""
-        return _first_max([(abs(n), d) for n, _, d in self._pcs])[1]
+        _, (n, d) = first_max([(abs(n), d) for n, _, d in self._pcs])
+        return Fraction(n, d)
 
     def is_convex(self) -> bool:
         pcs = self._pcs
@@ -395,16 +395,6 @@ def _emit(bps: list, pcs: list, v, pc) -> None:
 def _minus(t: Fraction):
     """A bisect key on breakpoint pairs (x, y), searched for 0: x/y - t times y*t.den."""
     return lambda p: p[0] * t.denominator - t.numerator * p[1]
-
-
-def _first_max(pairs) -> tuple[int, Fraction]:
-    """(i, num/den) for the first integer pair (num, den), den > 0, whose
-    ratio is largest: cross-multiplied, and a strict > keeps the first."""
-    best, (top, bottom) = 0, pairs[0]
-    for i, (num, den) in enumerate(pairs):
-        if num * bottom > top * den:
-            best, top, bottom = i, num, den
-    return best, Fraction(top, bottom)
 
 
 def _gap(p, q, t) -> int:

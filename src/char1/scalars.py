@@ -12,7 +12,8 @@ Inside the library every scalar argument is read by ``as_rat``, every
 rational pair by ``as_pair``, every sequence a constructor takes by
 ``as_items`` and every natural number by ``as_nat``, and an element at a
 public entry is checked by ``check_model``, so a bad one raises
-``PreconditionError``.  The library's value classes derive from ``Value``.
+``PreconditionError``.  Every norm peak picks its maximum by ``first_max``.
+The library's value classes derive from ``Value``.
 """
 
 from __future__ import annotations
@@ -153,6 +154,17 @@ def check_model(x, *classes) -> None:
     if x.__class__ not in classes:
         names = " or ".join(cls.__name__ for cls in classes)
         raise PreconditionError(f"expected a {names}, got {type(x).__name__}")
+
+
+def first_max(pairs) -> tuple[int, tuple[int, int]]:
+    """(i, (num, den)) for the first integer pair (num, den), den > 0, whose
+    ratio is largest: cross-multiplied, and a strict > keeps the first.  The
+    one tie rule of every norm peak; the pair comes back as it was given."""
+    best, (top, bottom) = 0, pairs[0]
+    for i, (num, den) in enumerate(pairs):
+        if num * bottom > top * den:
+            best, top, bottom = i, num, den
+    return best, (top, bottom)
 
 
 def fmt_rat(q) -> str:

@@ -132,7 +132,7 @@ def separate(phi1: Character, phi2: Character, domain=(0, 1)):
         lo, hi = as_pair(domain, "a domain")
         if not (lo <= phi1.t <= hi and lo <= phi2.t <= hi):
             raise PreconditionError("characters live outside the requested domain")
-        return PAF.identity(lo, hi)
+        return PAF.affine(1, 0, lo, hi)
     if isinstance(phi1, SupportDir) and isinstance(phi2, SupportDir):
         if phi1.unit != phi2.unit:
             raise PreconditionError("characters normalized against different units")

@@ -271,9 +271,10 @@ def _shift_piece(piece: tuple[Quad, Quad], k: int) -> tuple[Quad, Quad]:
     return (a, a * k + b)
 
 
-def _lookup(bps, pcs, t: Quad) -> tuple[Quad, tuple[Quad, Quad]]:
+def _lookup(bps, pcs, t: Quad) -> tuple[Quad, int, tuple[Quad, Quad]]:
     """Place the circle point t in piecewise data: its lift into
-    [bps[0], bps[0] + 1) and the piece governing it there, re-anchored at t.
+    [bps[0], bps[0] + 1), the index i of the piece governing it there, and
+    that piece re-anchored at t.
 
     A circle section has one piece per breakpoint, its last arc wrapping
     to bps[0] + 1; an arc has one breakpoint more than pieces and covers t
@@ -282,7 +283,7 @@ def _lookup(bps, pcs, t: Quad) -> tuple[Quad, tuple[Quad, Quad]]:
     k = (t - bps[0]).floor()
     lifted = t - k
     i = bisect.bisect_right(bps, lifted, 0, len(pcs)) - 1
-    return lifted, _shift_piece(pcs[i], -k)
+    return lifted, i, _shift_piece(pcs[i], -k)
 
 
 def _read_section(breakpoints, pieces) -> tuple[list, list]:
@@ -361,7 +362,7 @@ class CirclePAF(Value):
     def piece_at(self, t) -> tuple[Quad, Quad]:
         """The governing (slope, intercept) at t, in t's own coordinates:
         evaluation at t itself is a*t + b, for any lift t of the point."""
-        return _lookup(self.breakpoints, self.pieces, Quad._coerce(t))[1]
+        return _lookup(self.breakpoints, self.pieces, Quad._coerce(t))[2]
 
     def eval(self, t) -> Quad:
         t = Quad._coerce(t)
@@ -425,7 +426,7 @@ class ArcSection(Value):
     def piece_at(self, t) -> tuple[Quad, Quad]:
         """(slope, intercept) at circle point t, in t's own coordinates."""
         t = Quad._coerce(t)
-        lifted, piece = _lookup(self.breakpoints, self.pieces, t)
+        lifted, _, piece = _lookup(self.breakpoints, self.pieces, t)
         if lifted > self.hi:
             raise PreconditionError(f"{t} is outside the arc")
         return piece
@@ -463,7 +464,7 @@ def glue(sections) -> CirclePAF:
         # every arc end is a cut, so an arc covering u covers the cell right of u
         covering = []
         for sec in sections:
-            lifted, piece = _lookup(sec.breakpoints, sec.pieces, u)
+            lifted, _, piece = _lookup(sec.breakpoints, sec.pieces, u)
             if lifted < sec.hi:
                 covering.append(piece)
         if not covering:
@@ -479,9 +480,8 @@ def germ(s: CirclePAF, x) -> tuple[tuple[Quad, Quad], tuple[Quad, Quad]]:
     check_model(s, CirclePAF)
     x = Quad._coerce(x)
     x = x - x.floor()
-    right = s.piece_at(x)
-    i = bisect.bisect_right(s.breakpoints, x) - 1
-    if i < 0 or s.breakpoints[i] != x:
+    lifted, i, right = _lookup(s.breakpoints, s.pieces, x)
+    if s.breakpoints[i] != lifted:
         return right, right
     left = s.pieces[i - 1]
     return (_shift_piece(left, 1) if i == 0 else left), right

@@ -136,15 +136,15 @@ def test_oplus_touching_without_crossing():
     assert check_oplus(HAT, zero) == HAT  # HAT touches 0 at its kink
     assert check_oplus(-HAT, zero) == zero
     # equal on a whole cell, apart elsewhere
-    f = PAF.identity().oplus(PAF.constant(F(1, 2)))
-    out = check_oplus(f, PAF.identity())
+    f = PAF.affine(1, 0).oplus(PAF.constant(F(1, 2)))
+    out = check_oplus(f, PAF.affine(1, 0))
     assert out == f
-    assert check_oplus(PAF.identity(), f) == f
+    assert check_oplus(PAF.affine(1, 0), f) == f
 
 
 def test_oplus_crossing_exactly_at_a_breakpoint():
     g = PAF.from_samples([(0, 1), (F(1, 2), F(1, 2)), (1, F(1, 4))])
-    out = check_oplus(PAF.identity(), g)
+    out = check_oplus(PAF.affine(1, 0), g)
     assert out.breakpoints == (F(0), F(1, 2), F(1))
     assert out.pieces == (g.pieces[0], (F(1), F(0)))
 
@@ -195,11 +195,11 @@ def test_min_touching_and_crossing_at_a_breakpoint():
     zero = PAF.constant(0)
     assert check_tropical_min(HAT, zero) == zero  # HAT touches 0 at its kink
     assert check_tropical_min(-HAT, zero) == -HAT
-    f = PAF.identity().oplus(PAF.constant(F(1, 2)))  # equal on a whole cell
-    assert check_tropical_min(f, PAF.identity()) == PAF.identity()
-    assert check_tropical_min(PAF.identity(), f) == PAF.identity()
+    f = PAF.affine(1, 0).oplus(PAF.constant(F(1, 2)))  # equal on a whole cell
+    assert check_tropical_min(f, PAF.affine(1, 0)) == PAF.affine(1, 0)
+    assert check_tropical_min(PAF.affine(1, 0), f) == PAF.affine(1, 0)
     g = PAF.from_samples([(0, 1), (F(1, 2), F(1, 2)), (1, F(1, 4))])
-    out = check_tropical_min(PAF.identity(), g)
+    out = check_tropical_min(PAF.affine(1, 0), g)
     assert out.breakpoints == (F(0), F(1, 2), F(1))
     assert out.pieces == ((F(1), F(0)), g.pieces[1])
 

@@ -86,11 +86,11 @@ def test_closed_set_ops_by_membership(pairs):
 
 def test_related_examples():
     r = RestrictionCongruence(ClosedSet.of((F(1, 2), 1)))
-    assert related(r, PAF.identity(), PAF.identity().oplus(PAF.constant(F(1, 2))))
+    assert related(r, PAF.affine(1, 0), PAF.affine(1, 0).oplus(PAF.constant(F(1, 2))))
     f = random_paf(random.Random(1))
     assert related(r, f, f)
     r_pt = RestrictionCongruence(ClosedSet.of((F(1, 2), F(1, 2))))
-    assert not related(r_pt, PAF.identity(), ZERO)
+    assert not related(r_pt, PAF.affine(1, 0), ZERO)
 
 
 def test_related_by_grid_oracle():
@@ -105,17 +105,17 @@ def test_related_by_grid_oracle():
 
 def test_trivial_congruence_relates_everything():
     r = RestrictionCongruence(ClosedSet(()))
-    assert r.is_trivial
-    assert related(r, PAF.identity(), PAF.constant(9))
-    assert related(r, PAF.identity(), PAF.constant(9, 0, 2))  # even across domains
+    assert r.k.is_empty
+    assert related(r, PAF.affine(1, 0), PAF.constant(9))
+    assert related(r, PAF.affine(1, 0), PAF.constant(9, 0, 2))  # even across domains
 
 
 def test_related_rejects_a_set_leaving_the_domain():
     r = RestrictionCongruence(ClosedSet.of((F(1, 2), 2)))
     with pytest.raises(PreconditionError, match="restriction set leaves"):
-        related(r, PAF.identity(), ZERO)
+        related(r, PAF.affine(1, 0), ZERO)
     with pytest.raises(PreconditionError, match="restriction set leaves"):
-        class_of_zero_contains(r, PAF.identity())
+        class_of_zero_contains(r, PAF.affine(1, 0))
 
 
 def test_sandwich_examples():
@@ -270,8 +270,8 @@ def test_split_vanishing_requires_vanishing():
 def test_fraction_extension_examples():
     k = ClosedSet.of((F(1, 2), 1))
     fr = FractionRestriction(RestrictionCongruence(k))
-    a = PAF.identity().oplus(PAF.constant(F(1, 2)))  # max(t, 1/2)
-    b = PAF.identity()
+    a = PAF.affine(1, 0).oplus(PAF.constant(F(1, 2)))  # max(t, 1/2)
+    b = PAF.affine(1, 0)
     a2, b2 = PAF.constant(F(1, 2)), ZERO
     assert fr.related((a, b2), (a2, b)) == related(RestrictionCongruence(k), a + b2, a2 + b)
     assert fr.related((a, b), (a, b))

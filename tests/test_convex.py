@@ -36,18 +36,19 @@ SEG_X = Polygon([(0, 0), (1, 0)])
 SEG_Y = Polygon([(0, 0), (0, 1)])
 SQUARE01 = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRI = Polygon([(0, 0), (2, 0), (0, 1)])
+ORIGIN = Polygon([(0, 0)])
 E = Polygon.square()
 
 
 def test_hull_union_examples():
     assert hull_union(SEG_X, SEG_Y).vertices == ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
     assert hull_union(TRI, TRI) == TRI
-    assert hull_union(Polygon.origin(), TRI) == TRI
+    assert hull_union(ORIGIN, TRI) == TRI
 
 
 def test_minkowski_examples():
     assert minkowski(SEG_X, SEG_Y) == SQUARE01
-    assert minkowski(TRI, Polygon.origin()) == TRI
+    assert minkowski(TRI, ORIGIN) == TRI
     assert minkowski(TRI, TRI) == TRI.dilate(2)
 
 
@@ -58,7 +59,7 @@ def test_hull_drops_interior_and_collinear_points():
 
 def test_support_examples():
     assert SQUARE01.support((F(1), F(1))) == 2
-    assert Polygon.origin().support((F(3), F(-2))) == 0
+    assert ORIGIN.support((F(3), F(-2))) == 0
     assert SEG_X.support((F(0), F(1))) == 0
 
 
@@ -86,11 +87,34 @@ def test_merged_fan_rays_are_sorted_primitive_and_less_than_a_half_turn_apart():
         assert all(math.gcd(p, q) == 1 for p, q in fan)
         assert {(1, 0), (0, 1), (-1, 0), (0, -1)} <= set(fan)
         for body in bodies:
-            for p, q in normal_fan_rays(body):
-                g = math.gcd(p, q)
-                assert (p // g, q // g) in fan
+            assert set(normal_fan_rays(body)) <= set(fan)
         for (p1, q1), (p2, q2) in zip(fan, fan[1:] + fan[:1]):
             assert p1 * q2 - q1 * p2 > 0  # strictly between 0 and a half-turn
+
+
+@pytest.mark.parametrize("body, normals", [
+    (ORIGIN, []),
+    (Polygon([(0, 0), (3, 6)]), [(2, -1), (-2, 1)]),
+    (Polygon.square(2), [(0, -1), (1, 0), (0, 1), (-1, 0)]),
+    (Polygon([(0, 0), (6, 0), (0, 9)]), [(0, -1), (3, 2), (-1, 0)]),
+    (Polygon([(0, 0), (F(4, 3), 0), (F(4, 3), F(8, 5))]), [(0, -1), (1, 0), (-6, 5)]),
+], ids=["point", "segment", "square", "long-edged triangle", "rational triangle"])
+def test_normal_fan_rays_are_primitive_in_walk_order(body, normals):
+    # edge i of the walk from the lexicographic minimum has normal i
+    assert normal_fan_rays(body) == normals
+
+
+def test_a_polar_unit_has_normals_no_wider_than_the_unit():
+    # the round unit of the big-inputs CI job, at 256 vertices: polar(E)
+    # carries the lcm of its vertex denominators, which a non-primitive
+    # edge normal of polar(E) would carry too
+    n, r = 256, 9 * 10 ** 19
+    e = Polygon([(int(r * math.cos(2 * math.pi * k / n)), int(r * math.sin(2 * math.pi * k / n)))
+                 for k in range(n)])
+    width = max(abs(c) for v in e._iverts for c in v).bit_length()
+    p = polar(e)
+    assert max(abs(c) for normal, _ in cx.facets(p) for c in normal).bit_length() <= width
+    assert polar(p) == e
 
 
 def test_support_check_catches_a_hull_union_that_agrees_on_the_merged_fan():
@@ -146,7 +170,7 @@ def test_convex_suite_shows_the_pair_and_ray_of_a_wrong_sum(monkeypatch):
 def test_gauge_and_rnorm_examples():
     assert r_norm_body(TRI, E) == 2
     assert r_norm_body(E, E) == 1
-    assert r_norm_body(Polygon.origin(), E) == 0
+    assert r_norm_body(ORIGIN, E) == 0
     assert r_norm_body(Polygon(((F(2), F(0)),)), E) == 2
     assert r_norm_body(Polygon(((F(0), F(0)),)), E) == 0
 
@@ -189,7 +213,7 @@ def _facets(e):
 def test_char_eval_examples():
     assert char_eval(Direction(1, 0), SQUARE01, E) == 1
     assert char_eval(Direction(1, 0), E, E) == 1
-    assert char_eval(Direction(1, 0), Polygon.origin(), E) == 0
+    assert char_eval(Direction(1, 0), ORIGIN, E) == 0
     for psi, x in [((0, 0), TRI), ((F(0), F(0, 3)), FracBody.of(TRI))]:
         with pytest.raises(PreconditionError, match="^direction must be nonzero$"):
             char_eval(psi, x, E)
@@ -253,7 +277,7 @@ def test_frac_oplus_segments_example():
 
 def test_fracbody_requires_origin():
     with pytest.raises(PreconditionError):
-        FracBody(Polygon([(1, 1), (2, 2)]), Polygon.origin())
+        FracBody(Polygon([(1, 1), (2, 2)]), ORIGIN)
 
 
 def test_i_invariance_examples():
@@ -308,7 +332,7 @@ def test_euclidean_mode_is_correctly_rounded():
     # exact oracle: the midpoints between r and its float neighbours
     # bracket the largest vertex norm, compared through squares
     rng = random.Random(43)
-    bodies = [Polygon.origin(), Polygon(((F(10 ** 300), F(-10 ** 300)),))]
+    bodies = [ORIGIN, Polygon(((F(10 ** 300), F(-10 ** 300)),))]
     for bits in (3, 20, 53, 60, 64, 90):
         for _ in range(40):
             bodies.append(Polygon([
@@ -481,7 +505,7 @@ def test_frac_walk_results_pass_the_decoder():
     """The fraction operations emit through ``_frac`` without ``FracBody``'s checks;
     each result is one that the decoder accepts, as the same value."""
     rng = random.Random(71)
-    shapes = [Polygon.origin(), SEG_X, SEG_Y, Polygon([(0, 0), (-3, 2)]), TRI, E]
+    shapes = [ORIGIN, SEG_X, SEG_Y, Polygon([(0, 0), (-3, 2)]), TRI, E]
     ops = PolygonFractionSemifield()
     for _ in range(200):
         x, y = (FracBody(rng.choice(shapes) if rng.random() < 0.3 else random_polygon(rng),
@@ -498,8 +522,8 @@ def test_origin_and_zero_dilation_decode_nothing(monkeypatch):
     decode = Polygon.__post_init__
     monkeypatch.setattr(Polygon, "__post_init__",
                         lambda self, vertices: calls.append(1) or decode(self, vertices))
-    origin = Polygon.origin()
-    assert origin is Polygon.origin() and TRI.dilate(0) is origin
+    origin = cx._ORIGIN
+    assert TRI.dilate(0) is origin and FracBody.of(TRI).neg is origin
     assert (origin._den, origin._iverts) == (1, ((0, 0),))
     assert calls == []
     assert Polygon(((0, 0),)) == origin and calls == [1]

@@ -288,7 +288,7 @@ BAD_UNITS = [
     Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),  # origin on the boundary
     Polygon([(1, 1), (2, 1), (2, 2)]),  # origin outside
     Polygon([(-1, 0), (1, 0)]),  # not full-dimensional
-    Polygon.origin(),
+    Polygon([(0, 0)]),
 ]
 
 ENTRY_POINTS = {

@@ -53,7 +53,7 @@ def test_eval_outside_domain():
 
 
 def test_oplus_example_upper_envelope():
-    out = PAF.identity().oplus(PAF.affine(-1, 1))
+    out = PAF.affine(1, 0).oplus(PAF.affine(-1, 1))
     assert out.breakpoints == (F(0), F(1, 2), F(1))
     assert out.pieces == ((F(-1), F(1)), (F(1), F(0)))
     for t in grid():
@@ -71,15 +71,15 @@ def test_oplus_idempotent_and_crossing():
 
 def test_oplus_domain_mismatch():
     with pytest.raises(PreconditionError):
-        PAF.identity(0, 1).oplus(PAF.identity(0, 2))
+        PAF.affine(1, 0, 0, 1).oplus(PAF.affine(1, 0, 0, 2))
 
 
 def test_plus_neg_scale_examples():
-    assert PAF.identity() + PAF.affine(-1, 1) == PAF.constant(1)
+    assert PAF.affine(1, 0) + PAF.affine(-1, 1) == PAF.constant(1)
     m = -HAT
     for t in grid(50):
         assert m.eval(t) == -HAT.eval(t)
-    assert PAF.affine(2, 0).scale(F(1, 2)) == PAF.identity()
+    assert PAF.affine(2, 0).scale(F(1, 2)) == PAF.affine(1, 0)
 
 
 def test_r_norm_examples():
@@ -147,7 +147,7 @@ def test_peak_scan_keeps_the_first_of_equal_peaks(samples, index, peak):
 
 
 def test_peak_of_the_zero_function_is_its_first_breakpoint():
-    for f in (PAF.constant(0), PAF.constant(0, -3, F(5, 2)), PAF.identity() - PAF.identity()):
+    for f in (PAF.constant(0), PAF.constant(0, -3, F(5, 2)), PAF.affine(1, 0) - PAF.affine(1, 0)):
         check_peak(f)
         assert f._peak() == (0, 0)
 

@@ -198,7 +198,7 @@ def test_one_piece_constructors_equal_the_checked_constructor():
         for a, b in ((0, 0), (F(3, 4), F(-1, 2)), (-5, 7)):
             assert PAF.affine(a, b, lo, hi) == PAF((lo, hi), ((a, b),))
             assert PAF.constant(b, lo, hi) == PAF((lo, hi), ((0, b),))
-    assert PAF.identity(F(1, 2), 3) == PAF((F(1, 2), 3), ((1, 0),))
+    assert PAF.affine(1, 0, F(1, 2), 3) == PAF((F(1, 2), 3), ((1, 0),))
     for lo, hi in ((1, 1), (2, 1)):
         for make in (lambda: PAF.constant(1, lo, hi), lambda: PAF.affine(1, 1, lo, hi),
                      lambda: PAF((lo, hi), ((0, 1),))):
@@ -247,7 +247,7 @@ EDGE_SETS = [
 
 def test_cutoff_equals_the_envelope_walks_on_the_edge_cases():
     rng = random.Random(1606)
-    fs = [PAF.constant(0), PAF.constant(5), PAF.identity(), random_paf(rng, max_cuts=9),
+    fs = [PAF.constant(0), PAF.constant(5), PAF.affine(1, 0), random_paf(rng, max_cuts=9),
           random_paf(rng, value_lim=1)]
     # slope 0; a bump that levels off inside every gap; one whose ramps
     # meet exactly at the midpoint of a gap of 1/4 (reach 1/8); one that
@@ -336,12 +336,12 @@ def test_quotient_norm_equals_the_restriction_oracle():
 def test_related_keeps_its_errors():
     r = RestrictionCongruence(ClosedSet.of((F(1, 2), 2)))
     with pytest.raises(PreconditionError, match="restriction set leaves"):
-        cg.related(r, PAF.identity(), PAF.constant(0))
+        cg.related(r, PAF.affine(1, 0), PAF.constant(0))
     r = RestrictionCongruence(ClosedSet.of((F(1, 2), F(1, 2))))
     with pytest.raises(PreconditionError, match="domain mismatch"):
-        cg.related(r, PAF.identity(), PAF.constant(0, 0, 2))
+        cg.related(r, PAF.affine(1, 0), PAF.constant(0, 0, 2))
     with pytest.raises(PreconditionError, match="nonempty restriction set"):
-        cg.quotient_norm(PAF.identity(), ClosedSet(()), PAF.identity())
+        cg.quotient_norm(PAF.affine(1, 0), ClosedSet(()), PAF.affine(1, 0))
 
 
 # -- the integer breakpoint scan -----------------------------------------------------

@@ -22,14 +22,14 @@ from char1.convex import (Direction, FracBody, Polygon, PolygonFractionSemifield
 from char1.errors import Char1Error, PreconditionError
 from char1.laws import run_suite
 from char1.paf import PAF, PAFSemifield, convex_split
-from char1.scalars import as_nat, as_pair, as_rat, fmt_rat
+from char1.scalars import as_nat, as_pair, as_rat, first_max, fmt_rat
 from char1.semifield import SCALAR
 from char1.spectrum import PointEval, attain_norm, classify, prescribe, separate
 from char1.valuation import (ArcSection, CirclePAF, Quad, circle_section_valid,
                              convexity_criterion, germ, glue, is_local_unit, kink, restrict_to_arc,
                              smooth_neighborhood, valuation_at)
 
-f = PAF.identity()
+f = PAF.affine(1, 0)
 SQ = Polygon.square()
 K = ClosedSet.of((F(1, 4), F(1, 2)))
 R = RestrictionCongruence(K)
@@ -47,6 +47,17 @@ def test_as_rat_returns_a_fraction(v, expected):
     # an int kept as an int would make ``/`` in the PAF walks float division
     q = as_rat(v)
     assert q.__class__ is F and q == expected
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    ([(1, 2), (3, 4), (6, 8), (3, 4)], (1, (3, 4))),  # equal ratios: the first wins
+    ([(0, 1), (0, 7), (0, 2)], (0, (0, 1))),  # all zero: index 0
+    ([(-3, 2), (-1, 1), (-4, 4)], (1, (-1, 1))),  # negated values, as min_value reads them
+    ([(2, 4), (6, 12), (5, 10)], (0, (2, 4))),  # the winning pair comes back unreduced
+    ([(5, 3)], (0, (5, 3))),
+])
+def test_first_max_keeps_the_first_largest_ratio(pairs, expected):
+    assert first_max(pairs) == expected
 
 
 def test_as_pair_reads_both_coordinates():
@@ -249,7 +260,7 @@ SCALAR_ENTRIES = {
     "PAF.constant": PAF.constant,
     "PAF.constant-lo": lambda x: PAF.constant(0, x, 5),
     "PAF.affine": lambda x: PAF.affine(x, 1),
-    "PAF.identity-hi": lambda x: PAF.identity(-5, x),
+    "PAF.affine-hi": lambda x: PAF.affine(1, 0, -5, x),
     "PAF-breakpoint": lambda x: PAF((-5, x, 5), ((0, 1), (0, 1))),
     "PAF-coefficient": lambda x: PAF((0, 1), ((0, x),)),
     "PAF.eval": f.eval,

@@ -33,7 +33,7 @@ def test_apply_model_mismatch():
     with pytest.raises(PreconditionError):
         apply_char(PointEval(F(1, 2)), E)
     with pytest.raises(PreconditionError):
-        apply_char(SupportDir(Direction(1, 0), E), PAF.identity())
+        apply_char(SupportDir(Direction(1, 0), E), PAF.affine(1, 0))
 
 
 def test_attain_norm_examples():
@@ -70,7 +70,7 @@ def test_attainment_picks_the_first_peak(samples, t, value):
 
 
 def test_attainment_on_zero_functions_warns():
-    for f in (PAF.constant(0, -3, F(5, 2)), PAF.identity() - PAF.identity()):
+    for f in (PAF.constant(0, -3, F(5, 2)), PAF.affine(1, 0) - PAF.affine(1, 0)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert attain_norm(f) == PointEval(f.lo)
@@ -102,7 +102,7 @@ def test_attainment_on_fraction_bodies():
 
 
 def test_classify_examples():
-    up = PAF.identity().oplus(PAF.affine(-1, 1))  # max(t, 1-t)
+    up = PAF.affine(1, 0).oplus(PAF.affine(-1, 1))  # max(t, 1-t)
     got = classify(up)
     assert got.nonneg and got.regular and got.absorbing and got.epsilon == F(1, 2)
     z = classify(PAF.constant(0))
@@ -156,9 +156,9 @@ def test_separate_mixed_models():
 def test_prescribe_hits_exact_values():
     ops = PAFSemifield()
     phi1, phi2 = PointEval(F(1, 4)), PointEval(F(3, 4))
-    x = prescribe(ops, phi1, phi2, PAF.identity(), 0, 1)
+    x = prescribe(ops, phi1, phi2, PAF.affine(1, 0), 0, 1)
     assert apply_char(phi1, x) == 0 and apply_char(phi2, x) == 1
-    y = prescribe(ops, phi1, phi2, PAF.identity(), F(-2, 3), F(7, 5))
+    y = prescribe(ops, phi1, phi2, PAF.affine(1, 0), F(-2, 3), F(7, 5))
     assert apply_char(phi1, y) == F(-2, 3) and apply_char(phi2, y) == F(7, 5)
     with pytest.raises(PreconditionError):
         prescribe(ops, phi1, phi2, PAF.constant(4), 0, 1)

@@ -80,7 +80,7 @@ def random_body(rng, lim=4, max_den=3):
     denominators up to max_den."""
     kind = rng.choice(["point", "segment", "collinear", "polygon", "polygon"])
     if kind == "point":
-        return Polygon.origin()
+        return Polygon([(0, 0)])
     if kind == "segment":
         pts = [(F(rng.randint(-lim, lim), rng.randint(1, max_den)),
                 F(rng.randint(-lim, lim), rng.randint(1, max_den)))]
@@ -145,7 +145,7 @@ def test_constructed_ties_go_to_the_first_candidate():
     assert norm_ray(x, e) == scan_norm_ray(x, e) == ((1, -1), F(3, 2))
     # a body, its negative and their difference, zero, on every unit
     a = Polygon([(0, 0), (3, 1), (-1, 2)])
-    for x in (FracBody(a, Polygon.origin()), FracBody(Polygon.origin(), a), FracBody(a, a)):
+    for x in (FracBody(a, Polygon([(0, 0)])), FracBody(Polygon([(0, 0)]), a), FracBody(a, a)):
         for e in UNITS.values():
             assert norm_ray(x, e) == scan_norm_ray(x, e)
     # the zero element: nothing beats 0, so the first facet normal is returned
@@ -185,7 +185,7 @@ def ci_unit():
 STARTS = {0: Polygon([(0, 0), (2, 1), (0, 2)]),  # first edge up and right
           1: Polygon([(0, 0), (2, -1), (1, 2)]),  # first edge down and right
           2: Polygon([(0, 0), (2, 0), (1, 2)])}  # first edge to the right
-DEGENERATE = [Polygon.origin(), Polygon(((F(1, 2), F(-3)),)),
+DEGENERATE = [Polygon([(0, 0)]), Polygon(((F(1, 2), F(-3)),)),
               Polygon(((-1, 2), (3, 2))), Polygon(((0, 0), (5, 0))),  # horizontal segments
               Polygon(((2, -1), (2, 3))), Polygon(((0, 0), (0, F(-1, 3)))),  # vertical ones
               Polygon(((0, 0), (2, 3)))]
@@ -234,7 +234,7 @@ def test_merged_fan_equals_the_sort_on_the_ci_unit():
     e = ci_unit()
     assert len(e._iverts) == 1024
     x = Polygon([(0, 0), (3, 1), (-1, 2)])
-    for bodies in [(e,), (e, x, Polygon.origin()), (e, e.dilate(F(1, 3)), UNITS["64-gon"])]:
+    for bodies in [(e,), (e, x, Polygon([(0, 0)])), (e, e.dilate(F(1, 3)), UNITS["64-gon"])]:
         assert merged_fan(*bodies) == sorted_fan(*bodies)
 
 

@@ -257,14 +257,14 @@ def test_convexity_criterion_examples():
 
 def test_localization_member_examples():
     # a - b lies in the localization at x exactly when b is a local unit
-    assert is_local_unit(PAF.identity(), F(1, 3))
+    assert is_local_unit(PAF.affine(1, 0), F(1, 3))
     assert not is_local_unit(HAT, F(1, 2))
     assert is_local_unit(HAT, F(1, 4))
     assert is_local_unit(HAT, F(0))  # endpoint valuations vanish
 
 
 def test_is_local_unit():
-    assert is_local_unit(PAF.identity(), F(1, 2))
+    assert is_local_unit(PAF.affine(1, 0), F(1, 2))
     assert not is_local_unit(HAT, F(1, 2))
 
 
@@ -341,7 +341,7 @@ def test_local_morphism_check_matches_shifted_construction():
         if not all(lo <= alpha * t + beta <= hi for t in (lo, hi)):
             continue  # the pullback would leave the domain
         hat = PAF.affine(1, -x_src).oplus(PAF.affine(-1, x_src))
-        probes = [PAF.identity(), PAF.constant(1)] + ([hat] if lo < x_src < hi else [])
+        probes = [PAF.affine(1, 0), PAF.constant(1)] + ([hat] if lo < x_src < hi else [])
         assert local_morphism(alpha, beta, x_src, x_dst) == \
             _old_local_morphism_check(alpha, beta, x_src, x_dst, probes, lo, hi)
         assert local_morphism(alpha, beta, x_src + F(1, 7), x_dst) is False

@@ -32,7 +32,7 @@ VALUES = [
      "Polygon(vertices=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(0, 1)), "
      "(Fraction(0, 1), Fraction(1, 3))))"),
     (Direction, {"p": F(2, 3), "q": -4}, "Direction(p=Fraction(1, 1), q=Fraction(-6, 1))"),
-    (FracBody, {"pos": Polygon.square(), "neg": Polygon.origin()},
+    (FracBody, {"pos": Polygon.square(), "neg": Polygon([(0, 0)])},
      f"FracBody(pos={SQUARE}, neg=Polygon(vertices=((Fraction(0, 1), Fraction(0, 1)),)))"),
     (ClosedSet, {"intervals": ((1, 1), (F(1, 4), F(1, 3)))}, K_REPR),
     (RestrictionCongruence, {"k": K}, f"RestrictionCongruence(k={K_REPR})"),
